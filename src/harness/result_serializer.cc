@@ -55,15 +55,23 @@ void WriteManifest(JsonWriter& json, const RunManifest& manifest) {
   json.EndObject();
 }
 
-template <std::size_t N>
-void WriteBreakdown(JsonWriter& json, std::string_view key,
-                    const std::array<CounterView, N>& entries, std::uint64_t total) {
+// Writes one flat block: its fields in declaration order, plus "total" for a
+// counter breakdown. The one omission rule lives here: an optional block
+// whose fields all hold their defaults is left out, so a run that never
+// touches a subsystem keeps an unchanged document.
+template <typename Block>
+void WriteBlock(JsonWriter& json, std::string_view key, const Block& block,
+                BlockPresence presence = BlockPresence::kOmitWhenEmpty) {
+  if (presence == BlockPresence::kOmitWhenEmpty && block == Block{}) {
+    return;
+  }
   json.Key(key);
   json.BeginObject();
-  for (const CounterView& entry : entries) {
-    json.Field(entry.key, entry.count);
+  block.ForEachField(
+      [&json](std::string_view name, const auto& value) { json.Field(name, value); });
+  if constexpr (requires { block.Total(); }) {
+    json.Field("total", block.Total());
   }
-  json.Field("total", total);
   json.EndObject();
 }
 
@@ -109,67 +117,6 @@ void WriteLatency(JsonWriter& json, const LatencySnapshot& latency) {
   json.EndObject();
 }
 
-// Open-loop service block: flat keys mirror ServiceSnapshot's fields 1:1
-// (the rwle_lint stats-keys manifest ties the two together). Omitted for
-// closed-loop runs, which record no arrivals.
-void WriteService(JsonWriter& json, const ServiceSnapshot& service) {
-  if (service.arrivals == 0) {
-    return;
-  }
-  json.Key("service");
-  json.BeginObject();
-  json.Field("offered_rate_ops", service.offered_rate_ops);
-  json.Field("achieved_rate_ops", service.achieved_rate_ops);
-  json.Field("arrivals", service.arrivals);
-  json.Field("completions", service.completions);
-  json.Field("horizon_seconds", service.horizon_seconds);
-  json.Field("sojourn_mean_ns", service.sojourn_mean_ns);
-  json.Field("sojourn_p50_ns", service.sojourn_p50_ns);
-  json.Field("sojourn_p90_ns", service.sojourn_p90_ns);
-  json.Field("sojourn_p99_ns", service.sojourn_p99_ns);
-  json.Field("sojourn_p999_ns", service.sojourn_p999_ns);
-  json.Field("sojourn_max_ns", service.sojourn_max_ns);
-  json.Field("queue_delay_mean_ns", service.queue_delay_mean_ns);
-  json.Field("queue_delay_max_ns", service.queue_delay_max_ns);
-  json.Field("slo_p99_ns", service.slo_p99_ns);
-  json.Field("slo_p999_ns", service.slo_p999_ns);
-  json.Field("slo_met", service.slo_met);
-  json.EndObject();
-}
-
-// Portability-matrix block: the hardware profile this cell ran under plus
-// the workload's torn-pair counters (PortabilitySnapshot, stats.h). Omitted
-// for runs outside the portability scenario (empty profile name).
-void WritePortability(JsonWriter& json, const PortabilitySnapshot& portability) {
-  if (portability.hw_profile.empty()) {
-    return;
-  }
-  json.Key("portability");
-  json.BeginObject();
-  json.Field("hw_profile", portability.hw_profile);
-  json.Field("torn_observed", portability.torn_observed);
-  json.Field("torn_committed", portability.torn_committed);
-  json.EndObject();
-}
-
-// BRAVO bias / revocation counters; omitted for schemes without a BRAVO
-// component (all counters zero).
-void WriteBravo(JsonWriter& json, const BravoBreakdown& bravo) {
-  if (bravo.Total() == 0) {
-    return;
-  }
-  WriteBreakdown(json, "bravo", bravo.Entries(), bravo.Total());
-}
-
-// Transaction-chopping counters; omitted for runs without chopped sections
-// (all counters zero).
-void WriteChop(JsonWriter& json, const ChopBreakdown& chop) {
-  if (chop.Total() == 0) {
-    return;
-  }
-  WriteBreakdown(json, "chop", chop.Entries(), chop.Total());
-}
-
 void WriteEntry(JsonWriter& json, const JsonResultSink::Entry& entry) {
   const RunResult& result = entry.result;
   const StatsSnapshot snapshot = result.stats.Snapshot();
@@ -187,13 +134,13 @@ void WriteEntry(JsonWriter& json, const JsonResultSink::Entry& entry) {
   json.Field("writer_serial", result.cost.writer_serial);
   json.Field("global_serial", result.cost.global_serial);
   json.EndObject();
-  WriteBreakdown(json, "commits", snapshot.commits.Entries(), snapshot.commits.Total());
-  WriteBreakdown(json, "aborts", snapshot.aborts.Entries(), snapshot.aborts.Total());
-  WriteBravo(json, snapshot.bravo);
-  WriteChop(json, snapshot.chop);
+#define RWLE_WRITE_FAMILY(Enum, Breakdown, member, LIST, presence) \
+  WriteBlock(json, #member, snapshot.member, presence);
+  RWLE_STATS_FAMILIES(RWLE_WRITE_FAMILY)
+#undef RWLE_WRITE_FAMILY
   WriteLatency(json, result.latency);
-  WriteService(json, result.service);
-  WritePortability(json, result.portability);
+  WriteBlock(json, "service", result.service);
+  WriteBlock(json, "portability", result.portability);
   json.EndObject();
 }
 

@@ -2,9 +2,10 @@
 // a spin lock, blind retry on abort, no fallback paths.
 //
 // This is the pedagogical core of the paper kept as a standalone class for
-// tests and the quickstart example. It must only be used with write critical
-// sections that fit in HTM capacity (a capacity abort would retry forever --
-// exactly why Algorithm 2 adds fallback paths).
+// the unit and integration tests (rwle_lock_test, integration_test). It must
+// only be used with write critical sections that fit in HTM capacity (a
+// capacity abort would retry forever -- exactly why Algorithm 2 adds
+// fallback paths).
 #ifndef RWLE_SRC_RWLE_RWLE_BASIC_LOCK_H_
 #define RWLE_SRC_RWLE_RWLE_BASIC_LOCK_H_
 

@@ -33,7 +33,6 @@ CASES = [
     ("memory_order_violation", "src/fix", 1, 0),
     ("sched_point_violation", "src/locks", 1, 0),
     ("hook_hygiene_violation", "src/htm", 1, 0),
-    ("stats_keys_violation", "src/stats", 1, 0),
     ("waiver_suppress", "src/fix", 0, 3),
     ("waiver_wrong_check", "src/fix", 1, 0),
     ("waiver_unknown", "src/fix", 1, 0),
@@ -86,11 +85,10 @@ def check_fixture(stem, prefix, want_exit, want_waived):
 
 
 def check_cli():
-    # --list-checks names all five checks and exits 0.
+    # --list-checks names all four checks and exits 0.
     proc = run_lint(["--list-checks"])
     names = {line.split()[0] for line in proc.stdout.splitlines() if line.strip()}
-    want = {"fabric-access", "memory-order", "sched-point", "hook-hygiene",
-            "stats-keys"}
+    want = {"fabric-access", "memory-order", "sched-point", "hook-hygiene"}
     if proc.returncode != 0 or not want <= names:
         fail("cli_list_checks", f"exit {proc.returncode}, names {sorted(names)}")
     else:

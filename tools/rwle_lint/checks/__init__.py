@@ -9,10 +9,9 @@ from rwle_lint.checks import (
     hook_hygiene,
     memory_order,
     sched_points,
-    stats_keys,
 )
 
-_MODULES = (fabric_access, memory_order, sched_points, hook_hygiene, stats_keys)
+_MODULES = (fabric_access, memory_order, sched_points, hook_hygiene)
 
 ALL_CHECKS: Dict[str, object] = {m.NAME: m for m in _MODULES}
 

@@ -28,8 +28,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="rwle_lint",
         description="Static checker for the project's concurrency invariants: "
                     "fabric-access discipline, memory-order comments, "
-                    "sched-point coverage, hook hygiene, and stats-key "
-                    "stability. See DESIGN.md §11.")
+                    "sched-point coverage, and hook hygiene. "
+                    "See DESIGN.md §11.")
     p.add_argument("paths", nargs="*",
                    help="files or directories to lint (default: src bench "
                         "tests examples under --root)")
