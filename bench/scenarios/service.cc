@@ -21,7 +21,7 @@
 #include "bench/scenarios/scenario.h"
 #include "src/common/rng.h"
 #include "src/locks/lock_factory.h"
-#include "src/workloads/hashmap/tx_hashmap.h"
+#include "src/workloads/hashmap/hashmap_workload.h"
 
 namespace rwle {
 namespace {
@@ -43,41 +43,19 @@ constexpr double kZipfTheta = 0.99;
 constexpr std::size_t kServiceBuckets = 256;
 constexpr std::size_t kServicePerBucket = 32;
 
-// HashMapWorkload with Zipf-skewed key popularity instead of uniform keys;
-// the op structure (lookup under Read, insert/remove under Write with
-// outside-the-lock node alloc/free) deliberately matches it.
+// HashMapWorkload with Zipf-skewed key popularity instead of uniform keys.
 class ZipfHashMapWorkload {
  public:
   ZipfHashMapWorkload()
-      : map_(kServiceBuckets), zipf_(kServiceBuckets * kServicePerBucket, kZipfTheta) {
-    map_.Populate(kServicePerBucket);
-  }
+      : hashmap_({kServiceBuckets, kServicePerBucket}),
+        zipf_(kServiceBuckets * kServicePerBucket, kZipfTheta) {}
 
   void Op(ElidableLock& lock, Rng& rng, bool is_write) {
-    const std::uint64_t key = zipf_.Next(rng);
-    if (!is_write) {
-      std::uint64_t value = 0;
-      lock.Read([&] { map_.Lookup(key, &value); });
-      return;
-    }
-    if (rng.NextBool(0.5)) {
-      TxHashMap::Node* node = TxHashMap::PrepareNode(key, key * 3);
-      bool inserted = false;
-      lock.Write([&] { inserted = map_.InsertPrepared(node); });
-      if (!inserted) {
-        TxHashMap::DiscardNode(node);
-      }
-    } else {
-      TxHashMap::Node* unlinked = nullptr;
-      lock.Write([&] { map_.Remove(key, &unlinked); });
-      if (unlinked != nullptr) {
-        TxHashMap::FreeNode(unlinked);
-      }
-    }
+    hashmap_.OpOnKey(lock, rng, zipf_.Next(rng), is_write);
   }
 
  private:
-  TxHashMap map_;
+  HashMapWorkload hashmap_;
   ZipfGenerator zipf_;
 };
 

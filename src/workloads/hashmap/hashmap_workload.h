@@ -5,8 +5,10 @@
 #define RWLE_SRC_WORKLOADS_HASHMAP_HASHMAP_WORKLOAD_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/thread_registry.h"
 #include "src/locks/elidable_lock.h"
 #include "src/workloads/hashmap/tx_hashmap.h"
 
@@ -27,18 +29,39 @@ struct HashMapScenario {
   static HashMapScenario LowCapacityLowContention(std::size_t l = 4096) { return {l, 50}; }
 };
 
+// Removed nodes are retired, not freed: another thread's speculative attempt
+// that began before the unlink keeps running until its next doom check and
+// can still load the node. The workload frees them in its destructor, after
+// the workers have joined.
 class HashMapWorkload {
  public:
   explicit HashMapWorkload(const HashMapScenario& scenario)
       : map_(scenario.buckets),
-        key_range_(scenario.buckets * scenario.per_bucket) {
+        key_range_(scenario.buckets * scenario.per_bucket),
+        retired_(kMaxThreads) {
     map_.Populate(scenario.per_bucket);
   }
+
+  ~HashMapWorkload() {
+    for (const RetiredLane& lane : retired_) {
+      for (TxHashMap::Node* node : lane.nodes) {
+        TxHashMap::FreeNode(node);
+      }
+    }
+  }
+
+  HashMapWorkload(const HashMapWorkload&) = delete;
+  HashMapWorkload& operator=(const HashMapWorkload&) = delete;
 
   // One benchmark operation. Safe to call concurrently from registered
   // threads; `is_write` selects the lock mode as in the paper.
   void Op(ElidableLock& lock, Rng& rng, bool is_write) {
-    const std::uint64_t key = rng.NextBelow(key_range_);
+    OpOnKey(lock, rng, rng.NextBelow(key_range_), is_write);
+  }
+
+  // One operation on `key`, for callers that draw keys from another
+  // distribution; `rng` picks insert or remove for writes.
+  void OpOnKey(ElidableLock& lock, Rng& rng, std::uint64_t key, bool is_write) {
     if (!is_write) {
       std::uint64_t value = 0;
       lock.Read([&] { map_.Lookup(key, &value); });
@@ -55,7 +78,7 @@ class HashMapWorkload {
       TxHashMap::Node* unlinked = nullptr;
       lock.Write([&] { map_.Remove(key, &unlinked); });
       if (unlinked != nullptr) {
-        TxHashMap::FreeNode(unlinked);
+        retired_[CurrentThreadSlot()].nodes.push_back(unlinked);
       }
     }
   }
@@ -63,8 +86,14 @@ class HashMapWorkload {
   TxHashMap& map() { return map_; }
 
  private:
+  // Indexed by thread slot; each lane is written by its owner only.
+  struct alignas(kCacheLineBytes) RetiredLane {
+    std::vector<TxHashMap::Node*> nodes;
+  };
+
   TxHashMap map_;
   std::uint64_t key_range_;
+  std::vector<RetiredLane> retired_;
 };
 
 }  // namespace rwle

@@ -6,9 +6,9 @@
 // lines in an HTM transaction's read set.
 //
 // Memory discipline under speculation: nodes are allocated *outside*
-// critical sections (PrepareNode) and freed *outside* them after the
-// enclosing Write() committed (FreeNode); aborted attempts therefore never
-// leak or double-free. See DESIGN.md §6.
+// critical sections (PrepareNode) and freed *outside* them once no thread
+// can still reach them (FreeNode); aborted attempts therefore never leak or
+// double-free. See DESIGN.md §6.
 #ifndef RWLE_SRC_WORKLOADS_HASHMAP_TX_HASHMAP_H_
 #define RWLE_SRC_WORKLOADS_HASHMAP_TX_HASHMAP_H_
 
@@ -61,8 +61,12 @@ class TxHashMap {
 
   static void DiscardNode(Node* node) { delete node; }
 
-  // Safe after the Write() that unlinked the node returned: RW-LE's
-  // quiescence guarantees no reader still holds a reference.
+  // Frees a node Remove unlinked. Returning from the unlinking Write() is
+  // not enough: RW-LE's quiescence waits out readers, but a speculative
+  // attempt on another thread that began before the unlink can still load
+  // the node until its next doom check. Free only once every operation
+  // that overlapped the unlink has finished (HashMapWorkload waits until
+  // its workers have joined).
   static void FreeNode(Node* node) { delete node; }
 
   // Single-threaded setup: inserts `per_bucket` items into every bucket.
@@ -135,8 +139,8 @@ class TxHashMap {
     return false;
   }
 
-  // Unlinks the key's node. The caller frees *unlinked with FreeNode after
-  // the enclosing Write() returns.
+  // Unlinks the key's node. The caller frees *unlinked with FreeNode once
+  // no concurrent operation can still reach it (see FreeNode).
   bool Remove(std::uint64_t key, Node** unlinked) {
     *unlinked = nullptr;
     Bucket& bucket = BucketFor(key);
