@@ -15,10 +15,6 @@
 // --ops operations; the *minimum* ns/op over reps is the reported (and
 // gated) number, since the minimum is the least-disturbed measurement on a
 // shared host.
-//
-// Unlike micro_primitives (google-benchmark, human-oriented), this driver
-// has a stable machine-readable schema and no external dependency, so it
-// can seed baselines and gate CI.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -33,6 +29,7 @@
 #include "src/harness/result_serializer.h"
 #include "src/htm/htm_runtime.h"
 #include "src/htm/tx_write_set.h"
+#include "src/locks/br_lock.h"
 #include "src/locks/bravo_lock.h"
 #include "src/memory/tx_var.h"
 #include "src/rwle/rwle_lock.h"
@@ -196,6 +193,19 @@ void BravoReadSection(std::uint64_t ops) {
   }
 }
 
+// BRLock reader: lock and unlock the caller's cache-line-private mutex
+// around an uninstrumented load -- the read-side baseline RW-LE competes
+// with.
+void BrLockReadSection(std::uint64_t ops) {
+  static BrLock lock;
+  static TxVar<std::uint64_t> cell(1);
+  for (std::uint64_t i = 0; i < ops; ++i) {
+    std::uint64_t value = 0;
+    lock.Read([&] { value = cell.Load(); });
+    KeepAlive(value);
+  }
+}
+
 // One op = a write that revokes the bias (clear + full-table drain scan)
 // plus the slow read that immediately re-arms it (inhibit_multiplier = 0,
 // the setting Options documents for exactly this benchmark).
@@ -264,6 +274,8 @@ constexpr MicroBench kBenchmarks[] = {
      BravoReadSection},
     {"bravo_revoke", "BravoLock: bias revocation (table drain) + re-arming read",
      BravoRevoke},
+    {"brlock_read_section", "BrLock.Read: per-slot reader mutex + uninstrumented load",
+     BrLockReadSection},
     {"quiescence_scan", "RwLeLock.Synchronize with no readers", QuiescenceScan},
     {"trace_ring_append", "EmitTraceEvent into a MemoryTraceSink lane", TraceRingAppend},
 };
