@@ -19,6 +19,11 @@ inline constexpr std::size_t kCacheLineShift = 7;
 static_assert((std::size_t{1} << kCacheLineShift) == kCacheLineBytes,
               "line shift and size must agree");
 
+// Coherence granule of the *host* running the simulator (x86-64 and most
+// AArch64 parts), distinct from the modeled line above. Layouts that must
+// keep the simulator's own atomics from false-sharing use this.
+inline constexpr std::size_t kHostLineBytes = 64;
+
 // Hint to the CPU that we are in a spin-wait loop. On x86 this lowers power
 // and relaxes the pipeline; elsewhere it is a no-op.
 inline void CpuRelax() {

@@ -7,16 +7,6 @@
 #include "src/common/sched_hooks.h"
 
 namespace rwle {
-namespace {
-
-thread_local std::uint32_t tls_thread_slot = kInvalidThreadSlot;
-
-}  // namespace
-
-ThreadRegistry& ThreadRegistry::Global() {
-  static ThreadRegistry registry;
-  return registry;
-}
 
 std::uint32_t ThreadRegistry::Register() {
   for (std::uint32_t word = 0; word < kInUseWords; ++word) {
@@ -63,12 +53,10 @@ void ThreadRegistry::Unregister(std::uint32_t slot) {
   RWLE_CHECK((prev & mask) != 0 && "unregistering a slot that is not in use");
 }
 
-std::uint32_t CurrentThreadSlot() { return tls_thread_slot; }
-
 ScopedThreadSlot::ScopedThreadSlot() : slot_(ThreadRegistry::Global().Register()) {
-  RWLE_CHECK(tls_thread_slot == kInvalidThreadSlot &&
+  RWLE_CHECK(current_ == kInvalidThreadSlot &&
              "thread registered twice (nested ScopedThreadSlot)");
-  tls_thread_slot = slot_;
+  current_ = slot_;
 #ifdef RWLE_ANALYSIS
   analysis_hooks::NotifyThreadRegister(slot_);
 #endif
@@ -82,7 +70,7 @@ ScopedThreadSlot::~ScopedThreadSlot() {
 #ifdef RWLE_ANALYSIS
   analysis_hooks::NotifyThreadUnregister(slot_);
 #endif
-  tls_thread_slot = kInvalidThreadSlot;
+  current_ = kInvalidThreadSlot;
   ThreadRegistry::Global().Unregister(slot_);
 }
 

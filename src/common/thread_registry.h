@@ -15,8 +15,13 @@ inline constexpr std::uint32_t kInvalidThreadSlot = UINT32_MAX;
 
 class ThreadRegistry {
  public:
-  // The single process-wide registry.
-  static ThreadRegistry& Global();
+  // The single process-wide registry. Constant-initialised (its state is
+  // all-zero atomics), so the inline accessor needs no guard and has no
+  // initialisation-order hazard.
+  static ThreadRegistry& Global() {
+    static constinit ThreadRegistry registry;
+    return registry;
+  }
 
   // Claims a free slot. Aborts if more than kMaxThreads threads register.
   std::uint32_t Register();
@@ -56,9 +61,6 @@ class ThreadRegistry {
   std::atomic<std::uint32_t> high_watermark_{0};
 };
 
-// Returns this thread's slot, or kInvalidThreadSlot if not registered.
-std::uint32_t CurrentThreadSlot();
-
 // RAII registration. Benchmark workers and tests construct one at thread
 // start; everything downstream reads CurrentThreadSlot().
 class ScopedThreadSlot {
@@ -72,8 +74,18 @@ class ScopedThreadSlot {
   std::uint32_t slot() const { return slot_; }
 
  private:
+  friend std::uint32_t CurrentThreadSlot();
+
+  // The calling thread's slot. Constant-initialised, so every fabric access
+  // reads it with one thread-pointer-relative load: no TLS wrapper call and
+  // no dependence on static-initialisation order.
+  static inline constinit thread_local std::uint32_t current_ = kInvalidThreadSlot;
+
   std::uint32_t slot_;
 };
+
+// Returns this thread's slot, or kInvalidThreadSlot if not registered.
+inline std::uint32_t CurrentThreadSlot() { return ScopedThreadSlot::current_; }
 
 }  // namespace rwle
 

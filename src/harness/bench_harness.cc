@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -60,6 +61,12 @@ RunResult RunBenchmark(const RunOptions& options, StatsRegistry& stats, const Op
         ++my_ops;
       }
       barrier.Wait();  // start line
+      // Held until after the finish line. A worker that released its slot
+      // while others still ran would let a late starter claim it and
+      // inherit its CostMeter shard and trace lane. Released outside the
+      // scheduled round, so unregistration is free-running; every slot is
+      // free again before the next run registers.
+      std::optional<ScopedThreadSlot> slot;
       {
 #ifdef RWLE_SCHED
         const sched::RoundParticipant participant(t);  // no-op without a round
@@ -67,7 +74,7 @@ RunResult RunBenchmark(const RunOptions& options, StatsRegistry& stats, const Op
         // Registered after joining the round so that under --sched slots
         // assign in schedule order, not OS arrival order (slot index feeds
         // epoch-clock lanes and conflict-table identity).
-        const ScopedThreadSlot slot;
+        slot.emplace();
         for (std::uint64_t i = 0; i < my_ops; ++i) {
           const bool is_write = rng.NextBool(options.write_ratio);
           op(t, rng, is_write);
@@ -167,11 +174,13 @@ RunResult RunServiceBenchmark(const ServiceRunOptions& options, ElidableLock& lo
       }
       WorkerResult& mine = per_worker[t];
       barrier.Wait();  // start line
+      // Held until after the finish line, as in RunBenchmark.
+      std::optional<ScopedThreadSlot> held_slot;
       {
 #ifdef RWLE_SCHED
         const sched::RoundParticipant participant(t);  // no-op without a round
 #endif
-        const ScopedThreadSlot slot;
+        const ScopedThreadSlot& slot = held_slot.emplace();
         // Virtual arrival clock, in modeled cycles since the run start.
         // CostMeter::Reset zeroed this slot's shard, so SlotCycles and the
         // arrival clock share an origin.

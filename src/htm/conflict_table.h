@@ -61,10 +61,24 @@ class ConflictTable {
   static_assert(kMaxThreads % 64 == 0,
                 "kReaderWords packs 64 reader bits per word; a non-multiple "
                 "kMaxThreads would silently round reader capacity down");
+  // Reader words stored in the slot itself: one host line of them, covering
+  // thread slots 0..511. Words past that live in the overflow array, which
+  // only threads in slots >= 512 ever touch.
+  static constexpr std::uint32_t kInlineReaderWords =
+      kHostLineBytes / sizeof(std::uint64_t);
+  static constexpr std::uint32_t kOverflowReaderWords = kReaderWords - kInlineReaderWords;
+  static_assert(kReaderWords > kInlineReaderWords,
+                "kMaxThreads fits the inline reader words; drop the overflow "
+                "array rather than declaring it empty");
 
-  struct LineSlot {
-    std::atomic<OwnerToken> writer{0};
-    std::atomic<std::uint64_t> readers[kReaderWords] = {};
+  // 128 B: the writer token alone on the first host line, the inline reader
+  // words on the second. Every uninstrumented load polls `writer`, while
+  // HTM read tracking does fetch_or/fetch_and on `readers`; sharing one host
+  // line would make each tracked read invalidate the line every reader
+  // polls.
+  struct alignas(2 * kHostLineBytes) LineSlot {
+    alignas(kHostLineBytes) std::atomic<OwnerToken> writer{0};
+    alignas(kHostLineBytes) std::atomic<std::uint64_t> readers[kInlineReaderWords] = {};
   };
 
   // Maps a shared cell's address to its line slot. Cells within one
@@ -73,12 +87,9 @@ class ConflictTable {
   // Hot-path contract: hash once per access. Fast paths call IndexFor once,
   // keep the index (SlotAt is a plain array load), and log it in the
   // transaction's set logs, so commit/abort release the footprint without
-  // ever re-hashing. SlotFor is the one-shot form for paths that never need
-  // the index again (non-transactional accesses).
-  LineSlot& SlotFor(const void* address) {
-    const auto line = reinterpret_cast<std::uintptr_t>(address) >> kCacheLineShift;
-    return slots_[Mix(line) & (kSlotCount - 1)];
-  }
+  // ever re-hashing. SlotFor is the one-shot form for paths that only need
+  // the writer token (uninstrumented loads).
+  LineSlot& SlotFor(const void* address) { return slots_[IndexFor(address)]; }
 
   std::uint32_t IndexFor(const void* address) const {
     const auto line = reinterpret_cast<std::uintptr_t>(address) >> kCacheLineShift;
@@ -87,19 +98,50 @@ class ConflictTable {
 
   LineSlot& SlotAt(std::uint32_t index) { return slots_[index]; }
 
-  static void SetReaderBit(LineSlot& slot, std::uint32_t thread_slot) {
-    slot.readers[thread_slot / 64].fetch_or(std::uint64_t{1} << (thread_slot % 64));
+  // Reader bits of slot `index`. These RMWs stay seq_cst: they are the
+  // footprint publications the dooming protocol synchronizes through
+  // (DESIGN.md §3).
+  void SetReaderBit(std::uint32_t index, std::uint32_t thread_slot) {
+    ReaderWord(index, thread_slot / 64).fetch_or(std::uint64_t{1} << (thread_slot % 64));
   }
 
-  static void ClearReaderBit(LineSlot& slot, std::uint32_t thread_slot) {
-    slot.readers[thread_slot / 64].fetch_and(~(std::uint64_t{1} << (thread_slot % 64)));
+  void ClearReaderBit(std::uint32_t index, std::uint32_t thread_slot) {
+    ReaderWord(index, thread_slot / 64).fetch_and(~(std::uint64_t{1} << (thread_slot % 64)));
   }
 
-  static bool TestReaderBit(const LineSlot& slot, std::uint32_t thread_slot) {
-    return (slot.readers[thread_slot / 64].load() >> (thread_slot % 64)) & 1;
+  bool TestReaderBit(std::uint32_t index, std::uint32_t thread_slot) {
+    return (ReaderWord(index, thread_slot / 64).load() >> (thread_slot % 64)) & 1;
+  }
+
+  // Calls fn(thread_slot) for every reader bit set on slot `index`. Scans
+  // only reader words that can hold a registered thread's bit: the registry
+  // watermark is monotonic non-decreasing and a setter's slot was below it
+  // at set time, so the bound never hides a live reader -- and a run whose
+  // threads all sit below slot 512 never reads the overflow array.
+  template <typename Fn>
+  void ForEachReader(std::uint32_t index, Fn&& fn) {
+    const std::uint32_t live_words = (ThreadRegistry::Global().HighWatermark() + 63) / 64;
+    const std::uint32_t words = live_words < kReaderWords ? live_words : kReaderWords;
+    for (std::uint32_t word = 0; word < words; ++word) {
+      std::uint64_t bits = ReaderWord(index, word).load();
+      while (bits != 0) {
+        const int bit = __builtin_ctzll(bits);
+        bits &= bits - 1;
+        fn(word * 64 + static_cast<std::uint32_t>(bit));
+      }
+    }
   }
 
  private:
+  struct alignas(kHostLineBytes) OverflowWords {
+    std::atomic<std::uint64_t> words[kOverflowReaderWords] = {};
+  };
+
+  std::atomic<std::uint64_t>& ReaderWord(std::uint32_t index, std::uint32_t word) {
+    return word < kInlineReaderWords ? slots_[index].readers[word]
+                                     : overflow_[index].words[word - kInlineReaderWords];
+  }
+
   static std::uint64_t Mix(std::uint64_t x) {
     // Fibonacci-style mixer; cheap and spreads sequential lines.
     x ^= x >> 33;
@@ -109,6 +151,7 @@ class ConflictTable {
   }
 
   LineSlot slots_[kSlotCount];
+  OverflowWords overflow_[kSlotCount];
 };
 
 }  // namespace rwle

@@ -21,21 +21,19 @@ void InitFromEnv(HtmRuntime* runtime);
 }  // namespace txsan
 #endif
 
-HtmRuntime& HtmRuntime::Global() {
-  static HtmRuntime runtime;
-#ifdef RWLE_ANALYSIS
-  // Sanctioned bootstrap: the one place analysis builds wire txsan into the
-  // runtime; it is inside #ifdef RWLE_ANALYSIS so production stays hook-free.
-  static const bool analysis_init = (txsan::InitFromEnv(&runtime), true);  // rwle-lint: disable(hook-hygiene)
-  (void)analysis_init;
-#endif
-  return runtime;
-}
+// Zero-filled at load time; see the declaration.
+constinit ConflictTable HtmRuntime::table_;
 
 HtmRuntime::HtmRuntime() {
   for (std::uint32_t slot = 0; slot < kMaxThreads; ++slot) {
     contexts_[slot].thread_slot_ = slot;
   }
+#ifdef RWLE_ANALYSIS
+  // Sanctioned bootstrap: the one place analysis builds wire txsan into the
+  // runtime; it is inside #ifdef RWLE_ANALYSIS so production stays hook-free.
+  // Global() constructs the runtime exactly once, so this runs once.
+  txsan::InitFromEnv(this);  // rwle-lint: disable(hook-hygiene)
+#endif
 }
 
 TxContext* HtmRuntime::CurrentContext() {
@@ -106,7 +104,7 @@ void HtmRuntime::TxCommit() {
     // and survive to commit; a reader that publishes its bit after this
     // scan self-aborts in TxLoad's post-bit owner re-check.
     for (const std::uint32_t index : ctx->owned_line_indices_) {
-      DoomReaders(table_.SlotAt(index), ctx->thread_slot_, AbortCause::kConflictTx);
+      DoomReaders(index, ctx->thread_slot_, AbortCause::kConflictTx);
     }
   }
 #ifdef RWLE_ANALYSIS
@@ -138,7 +136,7 @@ void HtmRuntime::TxCommit() {
     table_.SlotAt(index).writer.compare_exchange_strong(mine, 0);
   }
   for (const std::uint32_t index : ctx->read_line_indices_) {
-    ConflictTable::ClearReaderBit(table_.SlotAt(index), ctx->thread_slot_);
+    table_.ClearReaderBit(index, ctx->thread_slot_);
   }
   ctx->write_buffer_.Clear();
   ctx->owned_line_indices_.clear();
@@ -229,7 +227,7 @@ void HtmRuntime::TxCommitChained(TxWriteSet& carryover) {
     table_.SlotAt(index).writer.compare_exchange_strong(mine, 0);
   }
   for (const std::uint32_t index : ctx->read_line_indices_) {
-    ConflictTable::ClearReaderBit(table_.SlotAt(index), ctx->thread_slot_);
+    table_.ClearReaderBit(index, ctx->thread_slot_);
   }
   ctx->write_buffer_.Clear();
   ctx->owned_line_indices_.clear();
@@ -364,7 +362,7 @@ AbortCause HtmRuntime::FinishAbort(TxContext& ctx) {
     table_.SlotAt(index).writer.compare_exchange_strong(mine, 0);
   }
   for (const std::uint32_t index : ctx.read_line_indices_) {
-    ConflictTable::ClearReaderBit(table_.SlotAt(index), ctx.thread_slot_);
+    table_.ClearReaderBit(index, ctx.thread_slot_);
   }
   ctx.write_buffer_.Clear();
   ctx.owned_line_indices_.clear();
@@ -440,49 +438,34 @@ void HtmRuntime::WaitWhileCommitting(OwnerToken token) {
   }
 }
 
-void HtmRuntime::DoomReaders(ConflictTable::LineSlot& slot, std::uint32_t skip_thread_slot,
+void HtmRuntime::DoomReaders(std::uint32_t index, std::uint32_t skip_thread_slot,
                              AbortCause cause) {
-  // Scan only reader words that can hold a registered thread's bit. The
-  // watermark is monotonic non-decreasing and read after any bit of interest
-  // was set (the setter's slot was below the watermark at set time), so the
-  // bound never hides a live reader.
-  const std::uint32_t live_words =
-      (ThreadRegistry::Global().HighWatermark() + 63) / 64;
-  const std::uint32_t words = live_words < ConflictTable::kReaderWords
-                                  ? live_words
-                                  : ConflictTable::kReaderWords;
-  for (std::uint32_t word = 0; word < words; ++word) {
-    std::uint64_t bits = slot.readers[word].load();
-    while (bits != 0) {
-      const int bit = __builtin_ctzll(bits);
-      bits &= bits - 1;
-      const std::uint32_t reader_slot = word * 64 + static_cast<std::uint32_t>(bit);
-      if (reader_slot == skip_thread_slot) {
-        continue;
-      }
-      TxContext& reader = contexts_[reader_slot];
-      std::uint32_t spins = 0;
-      for (;;) {
-        const std::uint64_t status = reader.status_.load();
-        const TxPhase phase = StatusPhase(status);
-        if (phase != TxPhase::kActive && phase != TxPhase::kSuspended) {
-          // Idle/doomed: stale bit about to be cleared. Committing: the
-          // reader already won the race and serializes before this store.
-          break;
-        }
-        // Re-verify the bit, then CAS against the exact snapshot: if the
-        // reader's transaction ended meanwhile, its status changed and the
-        // CAS fails, so we can never doom its *next* transaction.
-        if (!ConflictTable::TestReaderBit(slot, reader_slot)) {
-          break;
-        }
-        if (reader.CasDoom(status, cause)) {
-          break;
-        }
-        SpinBackoff(spins++);
-      }
+  table_.ForEachReader(index, [&](std::uint32_t reader_slot) {
+    if (reader_slot == skip_thread_slot) {
+      return;
     }
-  }
+    TxContext& reader = contexts_[reader_slot];
+    std::uint32_t spins = 0;
+    for (;;) {
+      const std::uint64_t status = reader.status_.load();
+      const TxPhase phase = StatusPhase(status);
+      if (phase != TxPhase::kActive && phase != TxPhase::kSuspended) {
+        // Idle/doomed: stale bit about to be cleared. Committing: the
+        // reader already won the race and serializes before this store.
+        break;
+      }
+      // Re-verify the bit, then CAS against the exact snapshot: if the
+      // reader's transaction ended meanwhile, its status changed and the
+      // CAS fails, so we can never doom its *next* transaction.
+      if (!table_.TestReaderBit(index, reader_slot)) {
+        break;
+      }
+      if (reader.CasDoom(status, cause)) {
+        break;
+      }
+      SpinBackoff(spins++);
+    }
+  });
 }
 
 // --- Access fabric ----------------------------------------------------------
@@ -492,27 +475,16 @@ PreemptionState& ThreadPreemptionState() {
   return state;
 }
 
-void HtmRuntime::MaybePreempt(TxContext* ctx) {
-  if (ctx == nullptr || config_.yield_access_period == 0) {
-    return;
-  }
-  // Count up to the period and reset: same cadence as the previous modulo
-  // check, without an integer division on every fabric access.
-  if (++ctx->access_counter_ >= config_.yield_access_period) {
-    ctx->access_counter_ = 0;
-    PreemptionState& state = ThreadPreemptionState();
-    if (state.defer_depth > 0) {
-      state.pending = true;  // delivered when the defer scope closes
-    } else {
-      PreemptionYield();
-    }
+void HtmRuntime::DeliverPreemption() {
+  PreemptionState& state = ThreadPreemptionState();
+  if (state.defer_depth > 0) {
+    state.pending = true;  // delivered when the defer scope closes
+  } else {
+    PreemptionYield();
   }
 }
 
-void HtmRuntime::MaybeInjectInterrupt(TxContext* ctx, const void* address) {
-  if (interrupt_source_ == nullptr) {
-    return;
-  }
+void HtmRuntime::InjectInterrupt(TxContext* ctx, const void* address) {
   const std::uint32_t slot = ctx != nullptr ? ctx->thread_slot_ : kInvalidThreadSlot;
   if (!interrupt_source_->OnAccess(slot, address)) {
     return;
@@ -533,15 +505,7 @@ void HtmRuntime::MaybeInjectInterrupt(TxContext* ctx, const void* address) {
   }
 }
 
-std::uint64_t HtmRuntime::CellLoad(std::atomic<std::uint64_t>* cell) {
-  RWLE_SCHED_POINT(kFabricLoad, cell);
-  // One thread-local read per access: slot feeds context lookup and cost
-  // accounting (previously three separate CurrentThreadSlot() reads).
-  const std::uint32_t self = CurrentThreadSlot();
-  CostMeter::Global().ChargeAt(self, CostModel::kAccess);
-  TxContext* ctx = self == kInvalidThreadSlot ? nullptr : &contexts_[self];
-  MaybeInjectInterrupt(ctx, cell);
-  MaybePreempt(ctx);
+std::uint64_t HtmRuntime::CellLoadSlow(TxContext* ctx, std::atomic<std::uint64_t>* cell) {
   if (ctx != nullptr) {
     const TxPhase phase = ctx->phase();
     if (phase == TxPhase::kActive) {
@@ -643,7 +607,7 @@ std::uint64_t HtmRuntime::TxLoad(TxContext& ctx, std::atomic<std::uint64_t>* cel
 #endif
   bool tracked_line = false;
   if (track_reads) {
-    if (ConflictTable::TestReaderBit(slot, ctx.thread_slot_)) {
+    if (table_.TestReaderBit(index, ctx.thread_slot_)) {
       tracked_line = true;
     } else if (config_.tracked_read_lines != 0 &&
                ctx.read_line_indices_.size() >= config_.tracked_read_lines) {
@@ -656,7 +620,7 @@ std::uint64_t HtmRuntime::TxLoad(TxContext& ctx, std::atomic<std::uint64_t>* cel
       if (ctx.read_line_indices_.size() >= config_.max_read_lines) {
         AbortSelf(ctx, AbortCause::kCapacityRead);  // throws
       }
-      ConflictTable::SetReaderBit(slot, ctx.thread_slot_);
+      table_.SetReaderBit(index, ctx.thread_slot_);
       ctx.read_line_indices_.push_back(index);
       tracked_line = true;
       // Close the race window: a writer that claimed the line between our
@@ -809,7 +773,7 @@ bool HtmRuntime::ClaimLineForWrite(TxContext& ctx, std::atomic<std::uint64_t>* c
       AbortSelf(ctx, AbortCause::kCapacityWrite);  // throws; line released in cleanup
     }
     if (config_.resolution == ResolutionPolicy::kRequesterWins) {
-      DoomReaders(slot, ctx.thread_slot_, AbortCause::kConflictTx);
+      DoomReaders(index, ctx.thread_slot_, AbortCause::kConflictTx);
     }
     return true;
   }
@@ -842,7 +806,8 @@ bool HtmRuntime::CellCas(std::atomic<std::uint64_t>* cell, std::uint64_t expecte
   }
   MaybeInjectInterrupt(ctx, cell);
 
-  ConflictTable::LineSlot& slot = table_.SlotFor(cell);
+  const std::uint32_t index = table_.IndexFor(cell);
+  ConflictTable::LineSlot& slot = table_.SlotAt(index);
 
   std::uint32_t spins = 0;
   for (;;) {
@@ -861,13 +826,14 @@ bool HtmRuntime::CellCas(std::atomic<std::uint64_t>* cell, std::uint64_t expecte
     return false;
   }
   // The store succeeded: invalidate transactional readers (subscribers).
-  DoomReaders(slot, self, AbortCause::kConflictNonTx);
+  DoomReaders(index, self, AbortCause::kConflictNonTx);
   return true;
 }
 
 void HtmRuntime::NonTxStore(TxContext* ctx, std::atomic<std::uint64_t>* cell,
                             std::uint64_t value) {
-  ConflictTable::LineSlot& slot = table_.SlotFor(cell);
+  const std::uint32_t index = table_.IndexFor(cell);
+  ConflictTable::LineSlot& slot = table_.SlotAt(index);
   const std::uint32_t self = ctx != nullptr ? ctx->thread_slot_ : kInvalidThreadSlot;
 
   std::uint32_t spins = 0;
@@ -887,7 +853,7 @@ void HtmRuntime::NonTxStore(TxContext* ctx, std::atomic<std::uint64_t>* cell,
     break;
   }
   // A store invalidates transactional read monitors on this line.
-  DoomReaders(slot, self, AbortCause::kConflictNonTx);
+  DoomReaders(index, self, AbortCause::kConflictNonTx);
   FabricStore(FabricAccess::kNonTx, self, cell, value);
 }
 

@@ -31,12 +31,14 @@
 #include <cstdint>
 
 #include "src/common/check.h"
+#include "src/common/sched_hooks.h"
 #include "src/common/thread_registry.h"
 #include "src/htm/abort.h"
 #include "src/htm/conflict_table.h"
 #include "src/htm/fabric_observer.h"
 #include "src/htm/htm_config.h"
 #include "src/htm/tx_context.h"
+#include "src/stats/cost_meter.h"
 
 namespace rwle {
 
@@ -55,9 +57,13 @@ class HtmRuntime {
  public:
   // The process-wide facility (one "machine"). Tests reconfigure it via
   // set_config between runs; TxVar routes through it unconditionally.
-  static HtmRuntime& Global();
+  // Inline so every TxVar access skips a call; constructed on first use, so
+  // no static initialiser can see it unconstructed.
+  static HtmRuntime& Global() {
+    static HtmRuntime runtime;
+    return runtime;
+  }
 
-  HtmRuntime();
   HtmRuntime(const HtmRuntime&) = delete;
   HtmRuntime& operator=(const HtmRuntime&) = delete;
 
@@ -145,7 +151,26 @@ class HtmRuntime {
 
   // --- Shared-memory access fabric (used by TxVar) ---
 
-  std::uint64_t CellLoad(std::atomic<std::uint64_t>* cell);
+  // Inline fast path: the access prologue (scheduling point, kAccess
+  // charge, interrupt check, preemption counter -- in that order) and the
+  // common uninstrumented case, a thread with no live transaction loading
+  // an unowned line. Everything that can track, doom or wait runs out of
+  // line in CellLoadSlow.
+  std::uint64_t CellLoad(std::atomic<std::uint64_t>* cell) {
+    RWLE_SCHED_POINT(kFabricLoad, cell);
+    // One thread-local read per access: the slot feeds context lookup and
+    // cost accounting.
+    const std::uint32_t self = CurrentThreadSlot();
+    CostMeter::Global().ChargeAt(self, CostModel::kAccess);
+    TxContext* ctx = self == kInvalidThreadSlot ? nullptr : &contexts_[self];
+    MaybeInjectInterrupt(ctx, cell);
+    MaybePreempt(ctx);
+    if ((ctx == nullptr || ctx->phase() == TxPhase::kIdle) &&
+        table_.SlotFor(cell).writer.load() == 0) {
+      return FabricLoad(FabricAccess::kNonTx, self, cell);
+    }
+    return CellLoadSlow(ctx, cell);
+  }
   void CellStore(std::atomic<std::uint64_t>* cell, std::uint64_t value);
 
   // Non-transactional compare-and-swap on a fabric cell, used by lock
@@ -239,9 +264,10 @@ class HtmRuntime {
     kCommitting,     // owner is writing back; caller must wait
   };
 
+  HtmRuntime();
+
   DoomOutcome TryDoomOwner(OwnerToken token, AbortCause cause);
-  void DoomReaders(ConflictTable::LineSlot& slot, std::uint32_t skip_thread_slot,
-                   AbortCause cause);
+  void DoomReaders(std::uint32_t index, std::uint32_t skip_thread_slot, AbortCause cause);
   void WaitWhileCommitting(OwnerToken token);
 
   // Non-dooming owner probe for the committer-wins resolution policy,
@@ -255,6 +281,9 @@ class HtmRuntime {
            StatusPhase(status) == TxPhase::kCommitting;
   }
 
+  // CellLoad past its fast path: transactional loads, doomed contexts,
+  // suspended transactions and owned lines.
+  std::uint64_t CellLoadSlow(TxContext* ctx, std::atomic<std::uint64_t>* cell);
   std::uint64_t TxLoad(TxContext& ctx, std::atomic<std::uint64_t>* cell);
   std::uint64_t NonTxLoad(TxContext* ctx, std::atomic<std::uint64_t>* cell);
   void TxStore(TxContext& ctx, std::atomic<std::uint64_t>* cell, std::uint64_t value);
@@ -276,9 +305,15 @@ class HtmRuntime {
 
   [[noreturn]] void AbortSelf(TxContext& ctx, AbortCause cause);
 
-  // Calls the interrupt source; on a fault with a live transaction, dooms
-  // it (and throws if the transaction is currently active).
-  void MaybeInjectInterrupt(TxContext* ctx, const void* address);
+  // Calls the interrupt source, if one is installed; on a fault with a live
+  // transaction, dooms it (and throws if the transaction is currently
+  // active).
+  void MaybeInjectInterrupt(TxContext* ctx, const void* address) {
+    if (interrupt_source_ != nullptr) {
+      InjectInterrupt(ctx, address);
+    }
+  }
+  void InjectInterrupt(TxContext* ctx, const void* address);
 
   // Terminal fabric accesses. In analysis builds these route through the
   // observer (which performs the access under its own serialization); in
@@ -321,11 +356,26 @@ class HtmRuntime {
   }
 
   // Preemption model: yields every config_.yield_access_period accesses so
-  // critical sections overlap in time even on hosts with few cores.
-  void MaybePreempt(TxContext* ctx);
+  // critical sections overlap in time even on hosts with few cores. Counts
+  // up to the period and resets -- a compare, not a modulo, per access --
+  // and delivers the yield out of line.
+  void MaybePreempt(TxContext* ctx) {
+    if (ctx == nullptr || config_.yield_access_period == 0) {
+      return;
+    }
+    if (++ctx->access_counter_ >= config_.yield_access_period) {
+      ctx->access_counter_ = 0;
+      DeliverPreemption();
+    }
+  }
+  void DeliverPreemption();
 
   HtmConfig config_;
-  ConflictTable table_;
+  // Static, and constant-initialised where it is defined: the ~12 MB table
+  // sits in zero-filled storage that no constructor walks, so slots (and
+  // overflow reader words) that no access touches never become resident.
+  // One table per process matches the one runtime Global() constructs.
+  static ConflictTable table_;
   TxContext contexts_[kMaxThreads];
   // Chains currently live across all threads; guards set_config against
   // changing capacity limits mid-chain (see the DCHECK above).

@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <vector>
 
+#include "src/common/thread_registry.h"
 #include "src/htm/tx_context.h"
 
 namespace rwle {
@@ -59,28 +63,61 @@ TEST(ConflictTableTest, SlotAtMatchesIndexFor) {
   EXPECT_EQ(&table->SlotAt(table->IndexFor(&object)), &table->SlotFor(&object));
 }
 
+// The writer token every uninstrumented load polls must not share a host
+// line with the reader words HTM read tracking writes.
+static_assert(sizeof(ConflictTable::LineSlot) == 128);
+static_assert(offsetof(ConflictTable::LineSlot, writer) / kHostLineBytes !=
+              offsetof(ConflictTable::LineSlot, readers) / kHostLineBytes);
+static_assert(sizeof(ConflictTable::LineSlot::readers) == kHostLineBytes);
+
 TEST(ConflictTableTest, ReaderBitsAreIndependent) {
-  ConflictTable::LineSlot slot;
-  for (std::uint32_t thread : {0u, 5u, 63u, 64u, 127u, 128u, 255u, 256u, 511u,
-                               kMaxThreads - 1}) {
-    EXPECT_FALSE(ConflictTable::TestReaderBit(slot, thread));
-    ConflictTable::SetReaderBit(slot, thread);
-    EXPECT_TRUE(ConflictTable::TestReaderBit(slot, thread));
+  // Threads 0..511 land in the slot's inline reader words, 512..1023 in the
+  // overflow words; the set spans both and every word boundary around 512.
+  // ForEachReader scans only up to the registry watermark, so raise it to
+  // kMaxThreads first.
+  std::vector<std::uint32_t> claimed;
+  while (ThreadRegistry::Global().HighWatermark() < kMaxThreads) {
+    claimed.push_back(ThreadRegistry::Global().Register());
   }
-  // Clearing one leaves the others, including across reader-word boundaries.
-  ConflictTable::ClearReaderBit(slot, 64);
-  EXPECT_FALSE(ConflictTable::TestReaderBit(slot, 64));
-  EXPECT_TRUE(ConflictTable::TestReaderBit(slot, 63));
-  EXPECT_TRUE(ConflictTable::TestReaderBit(slot, 127));
-  ConflictTable::ClearReaderBit(slot, 256);
-  EXPECT_FALSE(ConflictTable::TestReaderBit(slot, 256));
-  EXPECT_TRUE(ConflictTable::TestReaderBit(slot, 255));
-  EXPECT_TRUE(ConflictTable::TestReaderBit(slot, kMaxThreads - 1));
+  const std::vector<std::uint32_t> threads = {0u, 5u, 63u, 64u, 127u, 511u, 512u,
+                                              513u, 575u, 576u, kMaxThreads - 1};
+  auto table = std::make_unique<ConflictTable>();
+  const std::uint32_t index = 42;
+  for (std::uint32_t thread : threads) {
+    EXPECT_FALSE(table->TestReaderBit(index, thread));
+    table->SetReaderBit(index, thread);
+    EXPECT_TRUE(table->TestReaderBit(index, thread));
+  }
+  std::vector<std::uint32_t> scanned;
+  table->ForEachReader(index, [&](std::uint32_t thread) { scanned.push_back(thread); });
+  EXPECT_EQ(scanned, threads);
+  // Neighbouring slots stay clean: each slot has its own overflow words.
+  for (std::uint32_t other : {index - 1, index + 1}) {
+    table->ForEachReader(other, [&](std::uint32_t thread) {
+      ADD_FAILURE() << "slot " << other << " has reader " << thread;
+    });
+  }
+
+  // Clearing one leaves the others, including across reader-word boundaries
+  // and the inline/overflow boundary.
+  for (std::uint32_t cleared : {64u, 511u, 512u, kMaxThreads - 1}) {
+    table->ClearReaderBit(index, cleared);
+    EXPECT_FALSE(table->TestReaderBit(index, cleared));
+  }
+  EXPECT_TRUE(table->TestReaderBit(index, 0));
+  EXPECT_TRUE(table->TestReaderBit(index, 63));
+  EXPECT_TRUE(table->TestReaderBit(index, 127));
+  EXPECT_TRUE(table->TestReaderBit(index, 513));
+  EXPECT_TRUE(table->TestReaderBit(index, 576));
+
+  for (std::uint32_t slot : claimed) {
+    ThreadRegistry::Global().Unregister(slot);
+  }
 }
 
 TEST(ConflictTableTest, WriterFieldStartsUnowned) {
-  ConflictTable::LineSlot slot;
-  EXPECT_EQ(slot.writer.load(), 0u);
+  auto table = std::make_unique<ConflictTable>();
+  EXPECT_EQ(table->SlotAt(0).writer.load(), 0u);
 }
 
 }  // namespace

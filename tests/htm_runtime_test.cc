@@ -236,6 +236,64 @@ TEST_F(HtmRuntimeTest, TxStoreDoomsTransactionalReader) {
   EXPECT_EQ(cell.LoadDirect(), 42u);
 }
 
+// Reader bits of thread slots >= 512 live in the conflict table's overflow
+// words, not in the line slot. A tracked reader registered there must still
+// be found and doomed by a conflicting store, and release its bit on abort.
+TEST_F(HtmRuntimeTest, NonTxStoreDoomsTrackedReaderInOverflowSlot) {
+  const std::uint32_t first_overflow_slot = ConflictTable::kInlineReaderWords * 64;
+  // Claim every free slot below the overflow range; the registry hands out
+  // the lowest free slot, so the reader thread registers into the range.
+  ThreadRegistry& registry = ThreadRegistry::Global();
+  std::vector<std::uint32_t> fillers;
+  std::uint32_t claimed = registry.Register();
+  while (claimed < first_overflow_slot) {
+    fillers.push_back(claimed);
+    claimed = registry.Register();
+  }
+  registry.Unregister(claimed);  // the reader takes this one
+
+  struct alignas(kCacheLineBytes) Cell {
+    TxVar<std::uint64_t> v;
+  };
+  Cell cell;
+  ConflictTable& table = Rt().conflict_table();
+  const std::uint32_t index = table.IndexFor(&cell.v);
+  std::atomic<int> phase{0};
+  std::atomic<std::uint32_t> reader_slot{kInvalidThreadSlot};
+
+  std::thread reader([&] {
+    ScopedThreadSlot slot;
+    reader_slot.store(slot.slot());
+    Rt().TxBegin(TxKind::kHtm);
+    (void)cell.v.Load();  // tracked load: sets the reader's overflow bit
+    phase.store(1);
+    while (phase.load() != 2) {
+      std::this_thread::yield();
+    }
+    try {
+      Rt().TxCommit();
+      ADD_FAILURE() << "reader in slot " << slot.slot() << " was not doomed";
+    } catch (const TxAbortException& abort) {
+      EXPECT_EQ(abort.cause(), AbortCause::kConflictNonTx);
+    }
+  });
+
+  while (phase.load() != 1) {
+    std::this_thread::yield();
+  }
+  EXPECT_GE(reader_slot.load(), first_overflow_slot);
+  EXPECT_TRUE(table.TestReaderBit(index, reader_slot.load()));
+  cell.v.Store(7);  // uninstrumented store: its reader scan reaches the overflow word
+  phase.store(2);
+  reader.join();
+  EXPECT_FALSE(table.TestReaderBit(index, reader_slot.load()));
+  EXPECT_EQ(cell.v.LoadDirect(), 7u);
+
+  for (const std::uint32_t slot : fillers) {
+    registry.Unregister(slot);
+  }
+}
+
 TEST_F(HtmRuntimeTest, TxLoadDoomsConflictingTxWriter) {
   TxVar<std::uint64_t> cell(5);
   std::atomic<int> phase{0};

@@ -26,17 +26,14 @@ struct alignas(kCacheLineBytes) Line {
 };
 
 // Counts conflict-table slots with any footprint (owner token or reader
-// bit). A full-table scan is the point: "cleared exactly the touched slots"
-// means zero slots anywhere are left dirty.
+// bit, inline or overflow word). A full-table scan is the point: "cleared
+// exactly the touched slots" means zero slots anywhere are left dirty.
 std::uint32_t DirtySlotCount() {
   ConflictTable& table = Rt().conflict_table();
   std::uint32_t dirty = 0;
   for (std::uint32_t index = 0; index < ConflictTable::kSlotCount; ++index) {
-    ConflictTable::LineSlot& slot = table.SlotAt(index);
-    bool any = slot.writer.load() != 0;
-    for (std::uint32_t word = 0; word < ConflictTable::kReaderWords; ++word) {
-      any = any || slot.readers[word].load() != 0;
-    }
+    bool any = table.SlotAt(index).writer.load() != 0;
+    table.ForEachReader(index, [&](std::uint32_t) { any = true; });
     dirty += any ? 1 : 0;
   }
   return dirty;
