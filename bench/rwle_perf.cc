@@ -64,6 +64,21 @@ void NonTxStore(std::uint64_t ops) {
   }
 }
 
+// nontx_store with seven more registry slots claimed and idle: pins the
+// reader scan's cost when no thread's summary bit is set, the shape of the
+// STMBench7 fallback path's NS stores.
+void NonTxStoreIdlePeers(std::uint64_t ops) {
+  ThreadRegistry& registry = ThreadRegistry::Global();
+  std::uint32_t peers[7];
+  for (std::uint32_t& peer : peers) {
+    peer = registry.Register();
+  }
+  NonTxStore(ops);
+  for (const std::uint32_t peer : peers) {
+    registry.Unregister(peer);
+  }
+}
+
 // The writer hot path: begin, one buffered store (line claim + redo
 // buffer), aggregate-store commit with set-log release.
 void HtmWriteCommit(std::uint64_t ops) {
@@ -278,6 +293,9 @@ constexpr MicroBench kBenchmarks[] = {
      BrLockReadSection},
     {"quiescence_scan", "RwLeLock.Synchronize with no readers", QuiescenceScan},
     {"trace_ring_append", "EmitTraceEvent into a MemoryTraceSink lane", TraceRingAppend},
+    // Last: it raises the registry watermark that later scans would pay for.
+    {"nontx_store_8slots", "nontx_store with 7 more registry slots claimed, idle",
+     NonTxStoreIdlePeers},
 };
 
 PerfBenchmarkResult RunBench(const MicroBench& bench, std::uint64_t ops,

@@ -57,38 +57,26 @@ class ConflictTable {
  public:
   static constexpr std::uint32_t kSlotCountLog2 = 16;
   static constexpr std::uint32_t kSlotCount = 1u << kSlotCountLog2;
-  static constexpr std::uint32_t kReaderWords = kMaxThreads / 64;
-  static_assert(kMaxThreads % 64 == 0,
-                "kReaderWords packs 64 reader bits per word; a non-multiple "
-                "kMaxThreads would silently round reader capacity down");
-  // Reader words stored in the slot itself: one host line of them, covering
-  // thread slots 0..511. Words past that live in the overflow array, which
-  // only threads in slots >= 512 ever touch.
-  static constexpr std::uint32_t kInlineReaderWords =
-      kHostLineBytes / sizeof(std::uint64_t);
-  static constexpr std::uint32_t kOverflowReaderWords = kReaderWords - kInlineReaderWords;
-  static_assert(kReaderWords > kInlineReaderWords,
-                "kMaxThreads fits the inline reader words; drop the overflow "
-                "array rather than declaring it empty");
+  static constexpr std::uint32_t kSummaryWords = kMaxThreads / 64;
+  static_assert(kMaxThreads % 64 == 0, "a partial summary word would strand reader slots");
 
-  // 128 B: the writer token alone on the first host line, the inline reader
-  // words on the second. Every uninstrumented load polls `writer`, while
-  // HTM read tracking does fetch_or/fetch_and on `readers`; sharing one host
-  // line would make each tracked read invalidate the line every reader
-  // polls.
-  struct alignas(2 * kHostLineBytes) LineSlot {
-    alignas(kHostLineBytes) std::atomic<OwnerToken> writer{0};
-    alignas(kHostLineBytes) std::atomic<std::uint64_t> readers[kInlineReaderWords] = {};
+  // The writer token alone on its host line, which every uninstrumented load
+  // polls and no reader-tracking RMW invalidates.
+  struct alignas(kHostLineBytes) LineSlot {
+    std::atomic<OwnerToken> writer{0};
   };
 
-  // Maps a shared cell's address to its line slot. Cells within one
-  // 128-byte line share a slot (false sharing is modeled, not hidden).
-  //
-  // Hot-path contract: hash once per access. Fast paths call IndexFor once,
-  // keep the index (SlotAt is a plain array load), and log it in the
-  // transaction's set logs, so commit/abort release the footprint without
-  // ever re-hashing. SlotFor is the one-shot form for paths that only need
-  // the writer token (uninstrumented loads).
+  // One thread's reader bits, one per line slot (8 KiB): only the owner
+  // writes it, like a core tracking its read set in its own cache.
+  struct alignas(kHostLineBytes) ReaderBitmap {
+    std::atomic<std::uint64_t> words[kSlotCount / 64] = {};
+  };
+
+  // Maps a shared cell's address to its line slot; cells within one 128-byte
+  // line share a slot (false sharing is modeled, not hidden). Hash once per
+  // access: fast paths keep IndexFor's result (SlotAt is a plain array load)
+  // and log it, so commit/abort never re-hash. SlotFor is the one-shot form
+  // for paths that only need the writer token (uninstrumented loads).
   LineSlot& SlotFor(const void* address) { return slots_[IndexFor(address)]; }
 
   std::uint32_t IndexFor(const void* address) const {
@@ -98,48 +86,58 @@ class ConflictTable {
 
   LineSlot& SlotAt(std::uint32_t index) { return slots_[index]; }
 
-  // Reader bits of slot `index`. These RMWs stay seq_cst: they are the
-  // footprint publications the dooming protocol synchronizes through
-  // (DESIGN.md §3).
+  // Reader bits of slot `index`, in `thread_slot`'s own bitmap. These RMWs
+  // stay seq_cst: they are the footprint publications the dooming protocol
+  // synchronizes through (DESIGN.md §3).
   void SetReaderBit(std::uint32_t index, std::uint32_t thread_slot) {
-    ReaderWord(index, thread_slot / 64).fetch_or(std::uint64_t{1} << (thread_slot % 64));
+    ReaderWord(index, thread_slot).fetch_or(std::uint64_t{1} << (index % 64));
   }
 
   void ClearReaderBit(std::uint32_t index, std::uint32_t thread_slot) {
-    ReaderWord(index, thread_slot / 64).fetch_and(~(std::uint64_t{1} << (thread_slot % 64)));
+    ReaderWord(index, thread_slot).fetch_and(~(std::uint64_t{1} << (index % 64)));
   }
 
   bool TestReaderBit(std::uint32_t index, std::uint32_t thread_slot) {
-    return (ReaderWord(index, thread_slot / 64).load() >> (thread_slot % 64)) & 1;
+    return (ReaderWord(index, thread_slot).load() >> (index % 64)) & 1;
   }
 
-  // Calls fn(thread_slot) for every reader bit set on slot `index`. Scans
-  // only reader words that can hold a registered thread's bit: the registry
-  // watermark is monotonic non-decreasing and a setter's slot was below it
-  // at set time, so the bound never hides a live reader -- and a run whose
-  // threads all sit below slot 512 never reads the overflow array.
+  // The thread's "has tracked reads" summary bit: set before a transaction's
+  // first reader bit, cleared after its last (seq_cst; DESIGN.md §3).
+  void EnterReader(std::uint32_t thread_slot) {
+    summary_[thread_slot / 64].fetch_or(std::uint64_t{1} << (thread_slot % 64));
+  }
+
+  void ExitReader(std::uint32_t thread_slot) {
+    summary_[thread_slot / 64].fetch_and(~(std::uint64_t{1} << (thread_slot % 64)));
+  }
+
+  bool IsReader(std::uint32_t thread_slot) {
+    return (summary_[thread_slot / 64].load() >> (thread_slot % 64)) & 1;
+  }
+
+  // Calls fn(thread_slot) for every reader bit set on slot `index`, loading
+  // bitmaps only of threads whose summary bit is set. Summary words past the
+  // registry watermark are skipped: it never decreases and a setter's slot
+  // was below it at set time, so the bound never hides a live reader.
   template <typename Fn>
   void ForEachReader(std::uint32_t index, Fn&& fn) {
     const std::uint32_t live_words = (ThreadRegistry::Global().HighWatermark() + 63) / 64;
-    const std::uint32_t words = live_words < kReaderWords ? live_words : kReaderWords;
+    const std::uint32_t words = live_words < kSummaryWords ? live_words : kSummaryWords;
     for (std::uint32_t word = 0; word < words; ++word) {
-      std::uint64_t bits = ReaderWord(index, word).load();
-      while (bits != 0) {
-        const int bit = __builtin_ctzll(bits);
-        bits &= bits - 1;
-        fn(word * 64 + static_cast<std::uint32_t>(bit));
+      std::uint64_t readers = summary_[word].load();
+      while (readers != 0) {
+        const std::uint32_t thread_slot = word * 64 + __builtin_ctzll(readers);
+        readers &= readers - 1;
+        if (TestReaderBit(index, thread_slot)) {
+          fn(thread_slot);
+        }
       }
     }
   }
 
  private:
-  struct alignas(kHostLineBytes) OverflowWords {
-    std::atomic<std::uint64_t> words[kOverflowReaderWords] = {};
-  };
-
-  std::atomic<std::uint64_t>& ReaderWord(std::uint32_t index, std::uint32_t word) {
-    return word < kInlineReaderWords ? slots_[index].readers[word]
-                                     : overflow_[index].words[word - kInlineReaderWords];
+  std::atomic<std::uint64_t>& ReaderWord(std::uint32_t index, std::uint32_t thread_slot) {
+    return readers_[thread_slot].words[index / 64];
   }
 
   static std::uint64_t Mix(std::uint64_t x) {
@@ -151,7 +149,8 @@ class ConflictTable {
   }
 
   LineSlot slots_[kSlotCount];
-  OverflowWords overflow_[kSlotCount];
+  ReaderBitmap readers_[kMaxThreads];
+  alignas(kHostLineBytes) std::atomic<std::uint64_t> summary_[kSummaryWords] = {};
 };
 
 }  // namespace rwle

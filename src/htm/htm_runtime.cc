@@ -130,17 +130,7 @@ void HtmRuntime::TxCommit() {
     entry.cell->store(entry.value, std::memory_order_release);
   }
 
-  const OwnerToken token = MakeOwnerToken(ctx->thread_slot_, epoch);
-  for (const std::uint32_t index : ctx->owned_line_indices_) {
-    OwnerToken mine = token;
-    table_.SlotAt(index).writer.compare_exchange_strong(mine, 0);
-  }
-  for (const std::uint32_t index : ctx->read_line_indices_) {
-    table_.ClearReaderBit(index, ctx->thread_slot_);
-  }
-  ctx->write_buffer_.Clear();
-  ctx->owned_line_indices_.clear();
-  ctx->read_line_indices_.clear();
+  ReleaseFootprint(*ctx, epoch);
   ctx->counters_.commits[static_cast<int>(ctx->kind_)]++;
   CostMeter::Global().ChargeAt(ctx->thread_slot_, CostModel::kTxCommit);
   RWLE_TXSAN_HOOK(*this, OnTxCommitted(ctx->thread_slot_, ctx->kind_));
@@ -221,17 +211,7 @@ void HtmRuntime::TxCommitChained(TxWriteSet& carryover) {
 #endif
   }
 
-  const OwnerToken token = MakeOwnerToken(ctx->thread_slot_, epoch);
-  for (const std::uint32_t index : ctx->owned_line_indices_) {
-    OwnerToken mine = token;
-    table_.SlotAt(index).writer.compare_exchange_strong(mine, 0);
-  }
-  for (const std::uint32_t index : ctx->read_line_indices_) {
-    table_.ClearReaderBit(index, ctx->thread_slot_);
-  }
-  ctx->write_buffer_.Clear();
-  ctx->owned_line_indices_.clear();
-  ctx->read_line_indices_.clear();
+  ReleaseFootprint(*ctx, epoch);
   ctx->counters_.commits[static_cast<int>(ctx->kind_)]++;
   CostMeter::Global().ChargeAt(ctx->thread_slot_, CostModel::kTxCommit);
   // OnChainCapture, not OnTxCommitted: the piece deliberately violates the
@@ -354,19 +334,7 @@ AbortCause HtmRuntime::FinishAbort(TxContext& ctx) {
   }
 #endif
 
-  // Release the write set. CAS, not store: a dead owner's line may already
-  // have been reclaimed by another transaction.
-  const OwnerToken token = MakeOwnerToken(ctx.thread_slot_, epoch);
-  for (const std::uint32_t index : ctx.owned_line_indices_) {
-    OwnerToken mine = token;
-    table_.SlotAt(index).writer.compare_exchange_strong(mine, 0);
-  }
-  for (const std::uint32_t index : ctx.read_line_indices_) {
-    table_.ClearReaderBit(index, ctx.thread_slot_);
-  }
-  ctx.write_buffer_.Clear();
-  ctx.owned_line_indices_.clear();
-  ctx.read_line_indices_.clear();
+  ReleaseFootprint(ctx, epoch);
   ctx.counters_.aborts[static_cast<int>(ctx.kind_)][static_cast<int>(cause)]++;
   CostMeter::Global().ChargeAt(ctx.thread_slot_, CostModel::kTxAbort);
   RWLE_TXSAN_HOOK(*this, OnTxAborted(ctx.thread_slot_, ctx.kind_, cause));
@@ -378,6 +346,26 @@ AbortCause HtmRuntime::FinishAbort(TxContext& ctx) {
   ctx.status_.store(PackStatus(epoch + 1, AbortCause::kNone, TxPhase::kIdle),
                     std::memory_order_release);
   return cause;
+}
+
+void HtmRuntime::ReleaseFootprint(TxContext& ctx, std::uint64_t epoch) {
+  // CAS, not store: a dead owner's line may already have been reclaimed by
+  // another transaction.
+  const OwnerToken token = MakeOwnerToken(ctx.thread_slot_, epoch);
+  for (const std::uint32_t index : ctx.owned_line_indices_) {
+    OwnerToken mine = token;
+    table_.SlotAt(index).writer.compare_exchange_strong(mine, 0);
+  }
+  if (!ctx.read_line_indices_.empty()) {
+    for (const std::uint32_t index : ctx.read_line_indices_) {
+      table_.ClearReaderBit(index, ctx.thread_slot_);
+    }
+    // Last, so a clear summary bit always means no reader bit is set.
+    table_.ExitReader(ctx.thread_slot_);
+  }
+  ctx.write_buffer_.Clear();
+  ctx.owned_line_indices_.clear();
+  ctx.read_line_indices_.clear();
 }
 
 void HtmRuntime::AbortSelf(TxContext& ctx, AbortCause cause) {
@@ -619,6 +607,16 @@ std::uint64_t HtmRuntime::TxLoad(TxContext& ctx, std::atomic<std::uint64_t>* cel
     } else {
       if (ctx.read_line_indices_.size() >= config_.max_read_lines) {
         AbortSelf(ctx, AbortCause::kCapacityRead);  // throws
+      }
+      if (ctx.read_line_indices_.empty()) {
+        // Summary RMW before the first bit RMW. This load then does summary
+        // RMW -> bit RMW -> writer-token load; a writer does claim CAS ->
+        // summary load -> bit load, all seq_cst. If our token load
+        // precedes the writer's claim in the single total order, so do our
+        // summary and bit RMWs, and the writer's later loads see both; if it
+        // follows the claim, the re-check below sees the writer. Either way
+        // one side notices the conflict.
+        table_.EnterReader(ctx.thread_slot_);
       }
       table_.SetReaderBit(index, ctx.thread_slot_);
       ctx.read_line_indices_.push_back(index);

@@ -303,6 +303,11 @@ class HtmRuntime {
   // the recorded abort cause.
   AbortCause FinishAbort(TxContext& ctx);
 
+  // Releases the footprint of ctx's transaction `epoch` -- owned lines,
+  // reader bits, then the summary bit -- and empties its buffer and logs.
+  // Every commit and abort path ends with this, before the epoch advance.
+  void ReleaseFootprint(TxContext& ctx, std::uint64_t epoch);
+
   [[noreturn]] void AbortSelf(TxContext& ctx, AbortCause cause);
 
   // Calls the interrupt source, if one is installed; on a fault with a live

@@ -236,17 +236,17 @@ TEST_F(HtmRuntimeTest, TxStoreDoomsTransactionalReader) {
   EXPECT_EQ(cell.LoadDirect(), 42u);
 }
 
-// Reader bits of thread slots >= 512 live in the conflict table's overflow
-// words, not in the line slot. A tracked reader registered there must still
-// be found and doomed by a conflicting store, and release its bit on abort.
-TEST_F(HtmRuntimeTest, NonTxStoreDoomsTrackedReaderInOverflowSlot) {
-  const std::uint32_t first_overflow_slot = ConflictTable::kInlineReaderWords * 64;
-  // Claim every free slot below the overflow range; the registry hands out
-  // the lowest free slot, so the reader thread registers into the range.
+// A tracked reader in thread slot >= 512 has its summary bit in a later
+// summary word than slot 0's. A conflicting store must still find and doom
+// it, and the reader must release its bit on abort.
+TEST_F(HtmRuntimeTest, NonTxStoreDoomsTrackedReaderInHighThreadSlot) {
+  const std::uint32_t first_high_slot = 512;
+  // Claim every free slot below the high range; the registry hands out the
+  // lowest free slot, so the reader thread registers into the range.
   ThreadRegistry& registry = ThreadRegistry::Global();
   std::vector<std::uint32_t> fillers;
   std::uint32_t claimed = registry.Register();
-  while (claimed < first_overflow_slot) {
+  while (claimed < first_high_slot) {
     fillers.push_back(claimed);
     claimed = registry.Register();
   }
@@ -265,7 +265,7 @@ TEST_F(HtmRuntimeTest, NonTxStoreDoomsTrackedReaderInOverflowSlot) {
     ScopedThreadSlot slot;
     reader_slot.store(slot.slot());
     Rt().TxBegin(TxKind::kHtm);
-    (void)cell.v.Load();  // tracked load: sets the reader's overflow bit
+    (void)cell.v.Load();  // tracked load: sets the reader's summary and reader bits
     phase.store(1);
     while (phase.load() != 2) {
       std::this_thread::yield();
@@ -281,12 +281,13 @@ TEST_F(HtmRuntimeTest, NonTxStoreDoomsTrackedReaderInOverflowSlot) {
   while (phase.load() != 1) {
     std::this_thread::yield();
   }
-  EXPECT_GE(reader_slot.load(), first_overflow_slot);
+  EXPECT_GE(reader_slot.load(), first_high_slot);
   EXPECT_TRUE(table.TestReaderBit(index, reader_slot.load()));
-  cell.v.Store(7);  // uninstrumented store: its reader scan reaches the overflow word
+  cell.v.Store(7);  // uninstrumented store: its reader scan reaches summary word 8
   phase.store(2);
   reader.join();
   EXPECT_FALSE(table.TestReaderBit(index, reader_slot.load()));
+  EXPECT_FALSE(table.IsReader(reader_slot.load()));
   EXPECT_EQ(cell.v.LoadDirect(), 7u);
 
   for (const std::uint32_t slot : fillers) {

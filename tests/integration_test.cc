@@ -18,12 +18,12 @@
 #include "src/harness/bench_harness.h"
 #include "src/locks/lock_factory.h"
 #include "src/memory/tx_var.h"
-#include "src/rwle/rwle_basic_lock.h"
 #include "src/rwle/rwle_lock.h"
 #include "src/workloads/hashmap/hashmap_workload.h"
 #include "src/workloads/kyoto/cache_db.h"
 #include "src/workloads/stmbench7/stmbench7.h"
 #include "src/workloads/tpcc/tpcc.h"
+#include "tests/rwle_basic_lock.h"
 
 namespace rwle {
 namespace {

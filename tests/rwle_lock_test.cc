@@ -10,7 +10,7 @@
 
 #include "src/common/thread_registry.h"
 #include "src/memory/tx_var.h"
-#include "src/rwle/rwle_basic_lock.h"
+#include "tests/rwle_basic_lock.h"
 
 namespace rwle {
 namespace {

@@ -25,15 +25,18 @@ struct alignas(kCacheLineBytes) Line {
   std::atomic<std::uint64_t> cell{0};
 };
 
-// Counts conflict-table slots with any footprint (owner token or reader
-// bit, inline or overflow word). A full-table scan is the point: "cleared
-// exactly the touched slots" means zero slots anywhere are left dirty.
+// Counts conflict-table slots with any footprint (owner token, or the
+// calling thread's reader bit). A full-table scan is the point: "cleared
+// exactly the touched slots" means zero slots anywhere are left dirty. The
+// bits are tested directly: ForEachReader would hide them once the thread's
+// summary bit is clear.
 std::uint32_t DirtySlotCount() {
   ConflictTable& table = Rt().conflict_table();
+  const std::uint32_t self = CurrentThreadSlot();
   std::uint32_t dirty = 0;
   for (std::uint32_t index = 0; index < ConflictTable::kSlotCount; ++index) {
-    bool any = table.SlotAt(index).writer.load() != 0;
-    table.ForEachReader(index, [&](std::uint32_t) { any = true; });
+    const bool any =
+        table.SlotAt(index).writer.load() != 0 || table.TestReaderBit(index, self);
     dirty += any ? 1 : 0;
   }
   return dirty;

@@ -17,6 +17,7 @@
 #include "src/harness/bench_harness.h"
 #include "src/htm/abort.h"
 #include "src/locks/lock_factory.h"
+#include "src/memory/tx_var.h"
 #include "src/rwle/path_policy.h"
 #include "src/stats/stats.h"
 #include "src/trace/latency_histogram.h"
@@ -128,12 +129,14 @@ TEST(MemoryTraceSinkTest, ConcurrentEmitsKeepLanesOrdered) {
   run.threads = 4;
   run.total_ops = 2000;
   run.write_ratio = 0.3;
-  std::uint64_t cell = 0;
+  // A fabric cell: elided writers run concurrently, so a plain counter
+  // would race.
+  TxVar<std::uint64_t> cell(0);
   RunBenchmark(run, *lock, [&](std::uint32_t, Rng&, bool is_write) {
     if (is_write) {
-      lock->Write([&] { ++cell; });
+      lock->Write([&] { cell.Store(cell.Load() + 1); });
     } else {
-      lock->Read([&] { (void)cell; });
+      lock->Read([&] { (void)cell.Load(); });
     }
   });
 
