@@ -104,10 +104,6 @@ void RunFigureGrid(
       LockOptions lock_options;
       lock_options.trace_sink = options.trace;
       auto lock = MakeLock(scheme, lock_options);
-      if (lock == nullptr) {
-        std::fprintf(stderr, "unknown scheme: %s\n", scheme.c_str());
-        continue;
-      }
       for (const std::uint32_t threads : options.thread_counts) {
         auto workload = make_workload();
         RunOptions run;

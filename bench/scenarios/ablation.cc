@@ -5,7 +5,7 @@
 // Workload: the high-capacity/high-contention hashmap, the configuration
 // where fallback paths are exercised the most. The ablation cases play the
 // role of schemes (so --schemes filters them and every sink labels rows by
-// case name).
+// case name). They are its only scheme names.
 #include <algorithm>
 #include <memory>
 
@@ -98,6 +98,7 @@ ScenarioSpec AblationScenario() {
   for (const auto& ablation : Cases()) {
     spec.default_schemes.push_back(ablation.name);
   }
+  spec.lock_factory_schemes = false;
   spec.default_ops = 20000;
   spec.full_ops = 200000;
   spec.run = RunAblation;

@@ -16,7 +16,6 @@
 // single amortized quiescence barrier) serializes. The acceptance criterion
 // pins chopped >= 2x unchopped rwle throughput at footprints >= 2x capacity.
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -147,10 +146,6 @@ void RunUnchopped(const std::string& scheme, const BenchOptions& options,
     LockOptions lock_options;
     lock_options.trace_sink = options.trace;
     auto lock = MakeLock(scheme, lock_options);
-    if (lock == nullptr) {
-      std::fprintf(stderr, "unknown scheme: %s\n", scheme.c_str());
-      return;
-    }
     StripeTable table(threads, footprint);
 
     RunOptions run;

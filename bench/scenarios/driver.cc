@@ -269,10 +269,20 @@ int BenchMain(int argc, char** argv, const char* forced_scenario) {
     return 1;
   }
   for (const auto& name : selected) {
-    if (registry.Find(name) == nullptr) {
+    const ScenarioSpec* spec = registry.Find(name);
+    if (spec == nullptr) {
       std::fprintf(stderr, "unknown scenario: %s (try --list-scenarios)\n",
                    name.c_str());
       return 1;
+    }
+    for (const auto& scheme : options.schemes) {
+      if (!spec->Accepts(scheme)) {
+        std::fprintf(stderr,
+                     "scenario %s cannot run scheme %s (try --list-schemes; "
+                     "--list-scenarios shows scenario-only names)\n",
+                     name.c_str(), scheme.c_str());
+        return 1;
+      }
     }
   }
 

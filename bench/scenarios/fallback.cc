@@ -40,10 +40,6 @@ void RunFallbackSweep(const ScenarioSpec& spec, const BenchOptions& options,
       lock_options.max_htm_retries = 0;
       lock_options.max_rot_retries = 0;
       auto lock = MakeLock(scheme, lock_options);
-      if (lock == nullptr) {
-        std::fprintf(stderr, "unknown scheme: %s\n", scheme.c_str());
-        continue;
-      }
       for (const std::uint32_t threads : options.thread_counts) {
         auto workload = std::make_unique<HashMapWorkload>(
             HashMapScenario{kFallbackBuckets, kFallbackPerBucket});

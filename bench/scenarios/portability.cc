@@ -166,10 +166,6 @@ void RunPortabilitySweep(const ScenarioSpec& spec, const BenchOptions& options,
         LockOptions lock_options;
         lock_options.trace_sink = options.trace;
         auto lock = MakeLock(scheme, lock_options);
-        if (lock == nullptr) {
-          std::fprintf(stderr, "unknown scheme: %s\n", scheme.c_str());
-          continue;
-        }
         // No transaction is live between cells, so swapping the TM model
         // here is legal (set_config checks); restored after the sweep.
         runtime.set_config(profile.config);

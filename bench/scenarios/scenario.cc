@@ -1,8 +1,17 @@
 #include "bench/scenarios/scenario.h"
 
+#include <algorithm>
+
 #include "src/common/check.h"
+#include "src/locks/lock_factory.h"
 
 namespace rwle {
+
+bool ScenarioSpec::Accepts(const std::string& scheme) const {
+  return std::find(default_schemes.begin(), default_schemes.end(), scheme) !=
+             default_schemes.end() ||
+         (lock_factory_schemes && MakeLock(scheme) != nullptr);
+}
 
 ScenarioRegistry& ScenarioRegistry::Global() {
   static ScenarioRegistry registry;

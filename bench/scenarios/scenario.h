@@ -19,8 +19,9 @@ namespace rwle {
 struct ScenarioSpec;
 
 // Executes the scenario's whole grid. `schemes` is the resolved scheme list
-// (user --schemes or the spec's defaults); every completed run is pushed
-// into `sink`. Panel values come from `spec.panel_values`.
+// (user --schemes or the spec's defaults), every name one that
+// `spec.Accepts`; every completed run is pushed into `sink`. Panel values
+// come from `spec.panel_values`.
 using ScenarioRunFn = std::function<void(
     const ScenarioSpec& spec, const BenchOptions& options,
     const std::vector<std::string>& schemes, ResultSink& sink)>;
@@ -34,10 +35,19 @@ struct ScenarioSpec {
   std::vector<double> panel_values;
   // Scheme names swept by default; empty means AllLockNames().
   std::vector<std::string> default_schemes;
+  // Whether --schemes may also name any scheme the lock factory builds.
+  // Off when the scheme names are the scenario's own labels (the ablation
+  // cases); it then runs only names from default_schemes.
+  bool lock_factory_schemes = true;
   std::uint64_t default_ops = 20000;  // quick sweep (per run)
   std::uint64_t full_ops = 200000;    // --full paper-scale sweep
   bool enable_paging = false;         // install the VM/paging interrupt model
   ScenarioRunFn run;
+
+  // Whether `run` can run `scheme`: a default scheme, or (with
+  // lock_factory_schemes) any name MakeLock builds. rwle_bench rejects a
+  // --schemes list with a name this returns false for.
+  bool Accepts(const std::string& scheme) const;
 };
 
 class ScenarioRegistry {

@@ -82,10 +82,6 @@ void RunServiceSweep(const ScenarioSpec& spec, const BenchOptions& options,
     double capacity_ops = 0.0;
     {
       auto lock = MakeLock(scheme, lock_options);
-      if (lock == nullptr) {
-        std::fprintf(stderr, "unknown scheme: %s\n", scheme.c_str());
-        continue;
-      }
       auto workload = std::make_unique<ZipfHashMapWorkload>();
       RunOptions calibration;
       calibration.threads = 1;
@@ -104,9 +100,6 @@ void RunServiceSweep(const ScenarioSpec& spec, const BenchOptions& options,
     for (const double load : spec.panel_values) {
       const double panel = load * 100.0;  // displayed as % of capacity
       auto lock = MakeLock(scheme, lock_options);
-      if (lock == nullptr) {
-        continue;
-      }
       auto workload = std::make_unique<ZipfHashMapWorkload>();
       ServiceRunOptions run;
       run.threads = pool;

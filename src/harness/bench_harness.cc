@@ -22,14 +22,16 @@
 
 namespace rwle {
 
-RunResult RunBenchmark(const RunOptions& options, StatsRegistry& stats, const OpFn& op) {
-  RWLE_CHECK(options.threads > 0);
-  RWLE_CHECK(options.threads <= kMaxThreads);
+namespace {
 
-  stats.Reset();
-  CostMeter::Global().Reset();
-  CostMeter::Global().set_contention_factor(options.threads);
-
+// The worker scaffold both harnesses share: opens the --sched round (if
+// any), splits `total_ops` among `threads` workers (remainder to the first
+// ones), and calls `body(t, ops, rng, slot)` once per worker between a start
+// and a finish barrier. Returns the wall time between the two barriers,
+// after every worker has joined.
+template <typename Body>
+double RunWorkers(std::uint32_t threads, std::uint64_t total_ops, std::uint64_t seed,
+                  const Body& body) {
 #ifdef RWLE_SCHED
   // --sched / RWLE_SCHED=1: serialize the measured region of this cell
   // under a seeded random schedule (controlled-stress mode, see
@@ -39,25 +41,25 @@ RunResult RunBenchmark(const RunOptions& options, StatsRegistry& stats, const Op
   std::unique_ptr<sched::RandomStrategy> sched_strategy;
   if (sched::ScheduledRunsEnabled()) {
     sched_strategy = std::make_unique<sched::RandomStrategy>(
-        DeriveScheduleSeed(sched::ScheduledRunsSeed(), options.seed));
+        DeriveScheduleSeed(sched::ScheduledRunsSeed(), seed));
     sched_strategy->BeginSchedule(0);
     sched::Scheduler::RoundOptions round;
-    round.threads = options.threads;
+    round.threads = threads;
     round.max_steps = UINT64_MAX;  // benchmarks never fall back to free-run
     round.record_trace = false;
     sched::Scheduler::Global().BeginRound(sched_strategy.get(), round);
   }
 #endif
 
-  SpinBarrier barrier(options.threads + 1);  // workers + timekeeper
+  SpinBarrier barrier(threads + 1);  // workers + timekeeper
   std::vector<std::thread> workers;
-  workers.reserve(options.threads);
+  workers.reserve(threads);
 
-  for (std::uint32_t t = 0; t < options.threads; ++t) {
+  for (std::uint32_t t = 0; t < threads; ++t) {
     workers.emplace_back([&, t] {
-      Rng rng(DeriveThreadSeed(options.seed, t));
-      std::uint64_t my_ops = options.total_ops / options.threads;
-      if (t < options.total_ops % options.threads) {
+      Rng rng(DeriveThreadSeed(seed, t));
+      std::uint64_t my_ops = total_ops / threads;
+      if (t < total_ops % threads) {
         ++my_ops;
       }
       barrier.Wait();  // start line
@@ -74,11 +76,7 @@ RunResult RunBenchmark(const RunOptions& options, StatsRegistry& stats, const Op
         // Registered after joining the round so that under --sched slots
         // assign in schedule order, not OS arrival order (slot index feeds
         // epoch-clock lanes and conflict-table identity).
-        slot.emplace();
-        for (std::uint64_t i = 0; i < my_ops; ++i) {
-          const bool is_write = rng.NextBool(options.write_ratio);
-          op(t, rng, is_write);
-        }
+        body(t, my_ops, rng, slot.emplace());
       }
       barrier.Wait();  // finish line
     });
@@ -98,6 +96,27 @@ RunResult RunBenchmark(const RunOptions& options, StatsRegistry& stats, const Op
     (void)sched::Scheduler::Global().EndRound();
   }
 #endif
+  return wall;
+}
+
+}  // namespace
+
+RunResult RunBenchmark(const RunOptions& options, StatsRegistry& stats, const OpFn& op) {
+  RWLE_CHECK(options.threads > 0);
+  RWLE_CHECK(options.threads <= kMaxThreads);
+
+  stats.Reset();
+  CostMeter::Global().Reset();
+  CostMeter::Global().set_contention_factor(options.threads);
+
+  const double wall = RunWorkers(
+      options.threads, options.total_ops, options.seed,
+      [&](std::uint32_t t, std::uint64_t ops, Rng& rng, const ScopedThreadSlot&) {
+        for (std::uint64_t i = 0; i < ops; ++i) {
+          const bool is_write = rng.NextBool(options.write_ratio);
+          op(t, rng, is_write);
+        }
+      });
 
   RunResult result;
   result.threads = options.threads;
@@ -134,23 +153,6 @@ RunResult RunServiceBenchmark(const ServiceRunOptions& options, ElidableLock& lo
   const double cycles_per_arrival =
       CostModel::kCyclesPerSecond * options.threads / options.arrival_rate_ops;
 
-#ifdef RWLE_SCHED
-  // Same controlled-stress hook as the closed-loop harness: the measured
-  // region can be serialized under a seeded schedule for exploration runs.
-  sched::InitScheduledRunsFromEnv();
-  std::unique_ptr<sched::RandomStrategy> sched_strategy;
-  if (sched::ScheduledRunsEnabled()) {
-    sched_strategy = std::make_unique<sched::RandomStrategy>(
-        DeriveScheduleSeed(sched::ScheduledRunsSeed(), options.seed));
-    sched_strategy->BeginSchedule(0);
-    sched::Scheduler::RoundOptions round;
-    round.threads = options.threads;
-    round.max_steps = UINT64_MAX;
-    round.record_trace = false;
-    sched::Scheduler::Global().BeginRound(sched_strategy.get(), round);
-  }
-#endif
-
   // Per-worker measurement state, harvested after join (no sharing while
   // the run is live, so plain members suffice).
   struct WorkerResult {
@@ -161,31 +163,15 @@ RunResult RunServiceBenchmark(const ServiceRunOptions& options, ElidableLock& lo
   };
   std::vector<WorkerResult> per_worker(options.threads);
 
-  SpinBarrier barrier(options.threads + 1);  // workers + timekeeper
-  std::vector<std::thread> workers;
-  workers.reserve(options.threads);
-
-  for (std::uint32_t t = 0; t < options.threads; ++t) {
-    workers.emplace_back([&, t] {
-      Rng rng(DeriveThreadSeed(options.seed, t));
-      std::uint64_t my_ops = options.total_ops / options.threads;
-      if (t < options.total_ops % options.threads) {
-        ++my_ops;
-      }
-      WorkerResult& mine = per_worker[t];
-      barrier.Wait();  // start line
-      // Held until after the finish line, as in RunBenchmark.
-      std::optional<ScopedThreadSlot> held_slot;
-      {
-#ifdef RWLE_SCHED
-        const sched::RoundParticipant participant(t);  // no-op without a round
-#endif
-        const ScopedThreadSlot& slot = held_slot.emplace();
+  const double wall = RunWorkers(
+      options.threads, options.total_ops, options.seed,
+      [&](std::uint32_t t, std::uint64_t ops, Rng& rng, const ScopedThreadSlot& slot) {
+        WorkerResult& mine = per_worker[t];
         // Virtual arrival clock, in modeled cycles since the run start.
         // CostMeter::Reset zeroed this slot's shard, so SlotCycles and the
         // arrival clock share an origin.
         double next_arrival = 0.0;
-        for (std::uint64_t i = 0; i < my_ops; ++i) {
+        for (std::uint64_t i = 0; i < ops; ++i) {
           // Exponential inter-arrival via inverse CDF; NextDouble is in
           // [0, 1) so the log argument stays in (0, 1].
           next_arrival += -std::log(1.0 - rng.NextDouble()) * cycles_per_arrival;
@@ -210,25 +196,7 @@ RunResult RunServiceBenchmark(const ServiceRunOptions& options, ElidableLock& lo
           mine.sojourn.Record(completed - arrival);
         }
         mine.end_cycles = meter.SlotCycles(slot.slot());
-      }
-      barrier.Wait();  // finish line
-    });
-  }
-
-  barrier.Wait();
-  Stopwatch stopwatch;
-  barrier.Wait();
-  const double wall = stopwatch.ElapsedSeconds();
-
-  for (auto& worker : workers) {
-    worker.join();
-  }
-
-#ifdef RWLE_SCHED
-  if (sched_strategy != nullptr) {
-    (void)sched::Scheduler::Global().EndRound();
-  }
-#endif
+      });
 
   LatencyHistogram sojourn;
   std::uint64_t queue_delay_sum = 0;

@@ -1,7 +1,5 @@
 #include "src/locks/lock_factory.h"
 
-#include <cstring>
-
 #include "src/locks/br_lock.h"
 #include "src/locks/bravo_lock.h"
 #include "src/locks/hle_lock.h"
@@ -24,38 +22,37 @@ std::unique_ptr<ElidableLock> Adapt(const std::string& name, const LockOptions& 
   return adapter;
 }
 
-RwLePolicy PolicyFromOptions(const LockOptions& options) {
+// Every make function takes the fallback parsed from the name's suffix;
+// only the RW-LE bases (the ones registered with rwle_base) use it.
+template <RwLeVariant V, bool UseRot = true, bool Split = false>
+std::unique_ptr<ElidableLock> MakeRwLe(const std::string& name, const LockOptions& options,
+                                       FallbackScheme fallback) {
   RwLePolicy policy;
+  policy.variant = V;
   policy.max_htm_retries = options.max_htm_retries;
   policy.max_rot_retries = options.max_rot_retries;
-  policy.single_scan_ns_sync = options.single_scan_ns_sync;
-  policy.fallback = options.fallback;
-  policy.trace_sink = options.trace_sink;
-  return policy;
-}
-
-template <RwLeVariant V, bool UseRot = true, bool Split = false, bool Adaptive = false>
-std::unique_ptr<ElidableLock> MakeRwLe(const std::string& name, const LockOptions& options) {
-  RwLePolicy policy = PolicyFromOptions(options);
-  policy.variant = V;
   policy.use_rot = UseRot;
   policy.split_rot_ns_locks = Split;
-  policy.adaptive = Adaptive;
+  policy.fallback = fallback;
+  policy.trace_sink = options.trace_sink;
   return Adapt<RwLeLock>(name, options, policy);
 }
 
-std::unique_ptr<ElidableLock> MakeHle(const std::string& name, const LockOptions& options) {
+std::unique_ptr<ElidableLock> MakeHle(const std::string& name, const LockOptions& options,
+                                      FallbackScheme) {
   return Adapt<HleLock>(name, options, options.max_htm_retries, options.trace_sink);
 }
 
-std::unique_ptr<ElidableLock> MakeBravo(const std::string& name, const LockOptions& options) {
+std::unique_ptr<ElidableLock> MakeBravo(const std::string& name, const LockOptions& options,
+                                        FallbackScheme) {
   BravoLock::Options bravo_options;
   bravo_options.trace_sink = options.trace_sink;
   return Adapt<BravoLock>(name, options, bravo_options);
 }
 
 template <typename Lock>
-std::unique_ptr<ElidableLock> MakeSimple(const std::string& name, const LockOptions& options) {
+std::unique_ptr<ElidableLock> MakeSimple(const std::string& name, const LockOptions& options,
+                                         FallbackScheme) {
   return Adapt<Lock>(name, options);
 }
 
@@ -65,10 +62,11 @@ std::unique_ptr<ElidableLock> MakeSimple(const std::string& name, const LockOpti
 struct SchemeDef {
   const char* name;
   const char* description;
-  bool rwle_base;      // honors LockOptions::fallback / the "+<fallback>" suffix
+  bool rwle_base;      // takes the "+<fallback>" suffix
   bool default_sweep;  // member of AllLockNames(), in table order
   std::unique_ptr<ElidableLock> (*make)(const std::string& name,
-                                        const LockOptions& options);
+                                        const LockOptions& options,
+                                        FallbackScheme fallback);
 };
 
 constexpr SchemeDef kSchemes[] = {
@@ -84,8 +82,6 @@ constexpr SchemeDef kSchemes[] = {
      false, MakeRwLe<RwLeVariant::kOpt, false>},
     {"rwle-split", "RW-LE with split ROT/NS locks (§3.3 optimization)", true, false,
      MakeRwLe<RwLeVariant::kOpt, true, true>},
-    {"rwle-adaptive", "RW-LE with the adaptive retry-budget tuner", true, false,
-     MakeRwLe<RwLeVariant::kOpt, true, false, true>},
     {"hle", "classic HTM lock elision (every section speculates)", false, true,
      MakeHle},
     {"brlock", "big-reader lock (per-thread reader mutexes)", false, true,
@@ -109,34 +105,24 @@ const SchemeDef* FindScheme(const std::string& base) {
 }  // namespace
 
 std::unique_ptr<ElidableLock> MakeLock(const std::string& name, const LockOptions& options) {
-  std::string base = name;
-  LockOptions effective = options;
   const std::size_t plus = name.find('+');
-  const bool has_suffix = plus != std::string::npos;
-  if (has_suffix) {
-    base = name.substr(0, plus);
-    const std::string suffix = name.substr(plus + 1);
-    bool known = false;
-    for (const FallbackScheme scheme :
-         {FallbackScheme::kCentralized, FallbackScheme::kBravo}) {
-      if (suffix == FallbackSchemeName(scheme)) {
-        effective.fallback = scheme;
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      return nullptr;
-    }
-  }
-  const SchemeDef* def = FindScheme(base);
+  const SchemeDef* def = FindScheme(name.substr(0, plus));
   if (def == nullptr) {
     return nullptr;
   }
-  if (has_suffix && !def->rwle_base) {
-    return nullptr;  // e.g. "hle+bravo": only RW-LE bases take a fallback
+  FallbackScheme fallback = FallbackScheme::kCentralized;
+  if (plus != std::string::npos) {
+    if (!def->rwle_base) {
+      return nullptr;  // e.g. "hle+bravo": only RW-LE bases take a fallback
+    }
+    const std::string suffix = name.substr(plus + 1);
+    if (suffix == FallbackSchemeName(FallbackScheme::kBravo)) {
+      fallback = FallbackScheme::kBravo;
+    } else if (suffix != FallbackSchemeName(FallbackScheme::kCentralized)) {
+      return nullptr;
+    }
   }
-  return def->make(name, effective);
+  return def->make(name, options, fallback);
 }
 
 const std::vector<std::string>& AllLockNames() {

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "src/locks/elidable_lock.h"
-#include "src/rwle/path_policy.h"
 
 namespace rwle {
 
@@ -18,16 +17,11 @@ class TraceSink;
 // Construction knobs shared by every scheme. Knobs a scheme has no use for
 // are ignored (e.g. ROT retries by HLE, both retry budgets by the
 // non-speculative locks), so one options value can configure a whole sweep.
+// The rest of an RW-LE lock's policy comes from its scheme name; the
+// ablation scenario builds RwLePolicy values directly.
 struct LockOptions {
   std::uint32_t max_htm_retries = 5;  // speculative attempts before demoting
   std::uint32_t max_rot_retries = 5;  // ROT attempts before the NS path
-  // RW-LE §3.3: single-traversal quiescence on the NS path. Off = the
-  // unoptimized two-pass barrier (the ablation bench's configuration).
-  bool single_scan_ns_sync = true;
-  // Fallback scheme for readers blocked by a non-speculative writer (RW-LE
-  // bases only; other schemes ignore it). A "+<fallback>" suffix in the
-  // scheme name overrides this knob.
-  FallbackScheme fallback = FallbackScheme::kCentralized;
   // Destination for the lock's trace events (path transitions, reader
   // stalls, per-op latencies). Null = tracing off; not owned, must outlive
   // the lock.
@@ -37,12 +31,13 @@ struct LockOptions {
 // Scheme-name grammar: "<base>[+<fallback>]".
 //   - Bases: "rwle" (alias for "rwle-opt"), "rwle-opt", "rwle-pes",
 //     "rwle-fair", "rwle-norot" (ROT fallback disabled, Figure 7),
-//     "rwle-split" (split ROT/NS locks, §3.3), "rwle-adaptive", "hle",
-//     "brlock", "rwl", "sgl", "bravo" (standalone BRAVO-biased rw-lock).
+//     "rwle-split" (split ROT/NS locks, §3.3), "hle", "brlock", "rwl",
+//     "sgl", "bravo" (standalone BRAVO-biased rw-lock).
 //   - Fallback suffix, valid on RW-LE bases only: "+bravo" parks blocked
 //     readers in a distributed visible-reader table, "+centralized" (the
-//     default) spins them on the lock word. "rwle+bravo" is the paper
-//     comparison's composed scheme; "hle+bravo" is rejected.
+//     default) spins them on the lock word. The suffix is the only way to
+//     pick an RW-LE lock's fallback. "rwle+bravo" is the paper comparison's
+//     composed scheme; "hle+bravo" is rejected.
 // The authoritative list is AllSchemes(). Returns nullptr for unknown
 // names and invalid compositions.
 std::unique_ptr<ElidableLock> MakeLock(const std::string& name,

@@ -65,18 +65,14 @@ struct RwLePolicy {
   // unoptimized Algorithm 1 barrier; kept as a switch for the ablation
   // bench.
   bool single_scan_ns_sync = true;
-  // Extension (beyond the paper, in the spirit of its citation [9]):
-  // adapt max_htm_retries / max_rot_retries at runtime from observed
-  // success rates instead of using fixed budgets.
-  bool adaptive = false;
   // §3.3 optimization: split the global lock into a ROT lock and an NS
   // lock. The HTM path then subscribes the NS lock eagerly but the ROT lock
   // only lazily in its commit phase, which lets hardware transactions run
   // concurrently with a ROT writer (profitable when conflicts are rare).
   bool split_rot_ns_locks = false;
   // Which fallback-lock scheme serves the non-speculative path (see
-  // FallbackScheme above). Selected per lock instance via
-  // LockOptions::fallback or the "+bravo" scheme-name suffix.
+  // FallbackScheme above). Selected per lock instance by the "+bravo"
+  // scheme-name suffix.
   FallbackScheme fallback = FallbackScheme::kCentralized;
   // Trace destination for this lock's own events (path transitions, reader
   // stalls). Null = tracing off; not owned. Transaction-level events are
@@ -84,7 +80,8 @@ struct RwLePolicy {
   TraceSink* trace_sink = nullptr;
 };
 
-// Per-acquisition path state machine.
+// Per-acquisition path state machine. Reads the lock's policy in place, so
+// `policy` must outlive it.
 class PathPolicy {
  public:
   explicit PathPolicy(const RwLePolicy& policy) : policy_(policy) {
@@ -99,6 +96,7 @@ class PathPolicy {
       Demote();
     }
   }
+  explicit PathPolicy(const RwLePolicy&&) = delete;  // would dangle
 
   WritePath current() const { return path_; }
 
@@ -133,7 +131,7 @@ class PathPolicy {
     }
   }
 
-  RwLePolicy policy_;
+  const RwLePolicy& policy_;
   WritePath path_;
   std::uint32_t trials_left_;
 };

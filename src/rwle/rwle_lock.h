@@ -30,7 +30,6 @@
 #include "src/common/thread_registry.h"
 #include "src/htm/htm_runtime.h"
 #include "src/htm/preemption.h"
-#include "src/rwle/adaptive_tuner.h"
 #include "src/rwle/bravo_reader_table.h"
 #include "src/rwle/epoch_clocks.h"
 #include "src/rwle/lock_word.h"
@@ -126,15 +125,7 @@ class RwLeLock {
     // Analysis builds: bracket the (outermost) elided write section so txsan
     // can require a quiescence scan before any commit inside it.
     const AnalysisElidedWriteScope txsan_scope(runtime, slot);
-    RwLePolicy effective = policy_;
-    if (policy_.adaptive) {
-      const AdaptiveTuner::Budgets budgets = tuner_.Current();
-      effective.max_htm_retries = budgets.htm;
-      effective.max_rot_retries = budgets.rot;
-    }
-    PathPolicy path(effective);
-    std::uint32_t htm_aborts = 0;
-    std::uint32_t rot_aborts = 0;
+    PathPolicy path(policy_);
     for (;;) {
       switch (path.current()) {
         case WritePath::kHtm: {
@@ -143,10 +134,8 @@ class RwLeLock {
             RunSpeculative(fn);
             HtmEpilogue();
             stats_.RecordCommit(CommitPath::kHtm);
-            ReportAdaptive(CommitPath::kHtm, htm_aborts, rot_aborts);
             return;
           } catch (const TxAbortException& abort) {
-            ++htm_aborts;
             stats_.RecordAbort(abort.kind(), abort.cause());
             const WritePath before = path.current();
             path.OnAbort(abort.persistent());
@@ -165,10 +154,8 @@ class RwLeLock {
             RotEpilogue();
             ReleaseRotPath(held);
             stats_.RecordCommit(CommitPath::kRot);
-            ReportAdaptive(CommitPath::kRot, htm_aborts, rot_aborts);
             return;
           } catch (const TxAbortException& abort) {
-            ++rot_aborts;
             ReleaseRotPath(held);
             stats_.RecordAbort(abort.kind(), abort.cause());
             const WritePath before = path.current();
@@ -196,7 +183,6 @@ class RwLeLock {
           }
           ReleaseNsPath(held);
           stats_.RecordCommit(CommitPath::kSerial);
-          ReportAdaptive(CommitPath::kSerial, htm_aborts, rot_aborts);
           return;
         }
       }
@@ -206,7 +192,6 @@ class RwLeLock {
   const RwLePolicy& policy() const { return policy_; }
   StatsRegistry& stats() { return stats_; }
   EpochClocks& clocks() { return clocks_; }
-  const AdaptiveTuner& tuner() const { return tuner_; }
 
   // Exposed for tests: the RCU-like quiescence barrier.
   void Synchronize() const { clocks_.Synchronize(); }
@@ -228,13 +213,6 @@ class RwLeLock {
     } catch (...) {
       HtmRuntime::Global().TxCancel();
       throw;
-    }
-  }
-
-  void ReportAdaptive(CommitPath path, std::uint32_t htm_aborts,
-                      std::uint32_t rot_aborts) {
-    if (policy_.adaptive) {
-      tuner_.ReportWrite(path, htm_aborts, rot_aborts);
     }
   }
 
@@ -328,7 +306,6 @@ class RwLeLock {
   BravoReaderTable fallback_table_;
   EpochClocks clocks_;
   StatsRegistry stats_;
-  AdaptiveTuner tuner_;
   Nesting nesting_[kMaxThreads];
 
   // FAIR variant: each reader's copy of the lock word taken on entry.

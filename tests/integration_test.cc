@@ -43,7 +43,6 @@ TEST(DifferentialTest, AllSchemesProduceIdenticalSingleThreadedState) {
   schemes.push_back("rwle-fair");
   schemes.push_back("rwle-norot");
   schemes.push_back("rwle-split");
-  schemes.push_back("rwle-adaptive");
 
   for (const auto& name : schemes) {
     auto lock = MakeLock(name);
@@ -264,8 +263,8 @@ TEST(WideThreadTest, ConcurrentWritersBeyondOldSlotCeiling) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, HarnessMatrixTest,
-                         ::testing::Values("rwle-opt", "rwle-pes", "rwle-split",
-                                           "rwle-adaptive", "hle", "brlock", "rwl", "sgl"),
+                         ::testing::Values("rwle-opt", "rwle-pes", "rwle-split", "hle",
+                                           "brlock", "rwl", "sgl"),
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            std::string name = info.param;
                            for (auto& c : name) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -104,30 +105,39 @@ TEST_F(LocksTest, SglWriteMutualExclusion) {
   ExerciseMutualExclusion(lock, 4, 150);
 }
 
-TEST_F(LocksTest, RwLockAllowsConcurrentReaders) {
-  RwLock lock;
+// Two readers meet inside their read sections: each waits there until the
+// other has entered, which can only happen if `lock` admits both at once.
+// The wait has a deadline, so a lock that blocks readers fails the test
+// instead of hanging it. Returns how many readers saw the other inside.
+template <typename Lock>
+int ReadersMeetInside(Lock& lock) {
   std::atomic<int> readers_inside{0};
-  std::atomic<int> max_readers{0};
+  std::atomic<int> met{0};
   std::vector<std::thread> workers;
-  for (int t = 0; t < 3; ++t) {
+  for (int t = 0; t < 2; ++t) {
     workers.emplace_back([&] {
       ScopedThreadSlot slot;
-      for (int i = 0; i < 50; ++i) {
-        lock.Read([&] {
-          const int inside = readers_inside.fetch_add(1) + 1;
-          int seen = max_readers.load();
-          while (inside > seen && !max_readers.compare_exchange_weak(seen, inside)) {
-          }
+      lock.Read([&] {
+        readers_inside.fetch_add(1);
+        const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (readers_inside.load() < 2 && std::chrono::steady_clock::now() < deadline) {
           std::this_thread::yield();
-          readers_inside.fetch_sub(1);
-        });
-      }
+        }
+        if (readers_inside.load() == 2) {
+          met.fetch_add(1);
+        }
+      });
     });
   }
   for (auto& worker : workers) {
     worker.join();
   }
-  EXPECT_GE(max_readers.load(), 2);
+  return met.load();
+}
+
+TEST_F(LocksTest, RwLockAllowsConcurrentReaders) {
+  RwLock lock;
+  EXPECT_EQ(ReadersMeetInside(lock), 2);
 }
 
 TEST_F(LocksTest, RwLockWriterExcludesReaders) {
@@ -164,28 +174,7 @@ TEST_F(LocksTest, RwLockWriterExcludesReaders) {
 
 TEST_F(LocksTest, BrLockReadersDontBlockEachOther) {
   BrLock lock;
-  std::atomic<int> readers_inside{0};
-  std::atomic<int> max_readers{0};
-  std::vector<std::thread> workers;
-  for (int t = 0; t < 3; ++t) {
-    workers.emplace_back([&] {
-      ScopedThreadSlot slot;
-      for (int i = 0; i < 50; ++i) {
-        lock.Read([&] {
-          const int inside = readers_inside.fetch_add(1) + 1;
-          int seen = max_readers.load();
-          while (inside > seen && !max_readers.compare_exchange_weak(seen, inside)) {
-          }
-          std::this_thread::yield();
-          readers_inside.fetch_sub(1);
-        });
-      }
-    });
-  }
-  for (auto& worker : workers) {
-    worker.join();
-  }
-  EXPECT_GE(max_readers.load(), 2);
+  EXPECT_EQ(ReadersMeetInside(lock), 2);
 }
 
 TEST_F(LocksTest, TxMutexPhysicalAcquisitionExcludes) {

@@ -239,6 +239,9 @@ struct VariantCase {
   std::uint32_t max_read_lines;
   const char* name;
   bool split_locks = false;
+  // Zero retry budgets and the unoptimized two-scan NS quiescence: every
+  // write takes the NS path and waits out readers with Synchronize().
+  bool two_scan_ns_only = false;
 };
 
 class RwLeVariantConsistencyTest : public ::testing::TestWithParam<VariantCase> {
@@ -257,6 +260,11 @@ TEST_P(RwLeVariantConsistencyTest, ReadersSeeConsistentSnapshots) {
   RwLePolicy policy;
   policy.variant = param.variant;
   policy.split_rot_ns_locks = param.split_locks;
+  if (param.two_scan_ns_only) {
+    policy.single_scan_ns_sync = false;
+    policy.max_htm_retries = 0;
+    policy.max_rot_retries = 0;
+  }
   RwLeLock lock(policy);
 
   constexpr int kCells = 8;
@@ -287,7 +295,10 @@ TEST_P(RwLeVariantConsistencyTest, ReadersSeeConsistentSnapshots) {
       ScopedThreadSlot slot;
       while (!stop.load()) {
         lock.Read([&] {
-          const std::uint64_t first = cells[0].v.Load();
+          // Last cell first, then a yield: a writer that skips quiescence
+          // overwrites cells in order while this reader is mid-section.
+          const std::uint64_t first = cells[kCells - 1].v.Load();
+          std::this_thread::yield();
           for (auto& cell : cells) {
             if (cell.v.Load() != first) {
               violations.fetch_add(1);
@@ -307,6 +318,10 @@ TEST_P(RwLeVariantConsistencyTest, ReadersSeeConsistentSnapshots) {
   for (auto& cell : cells) {
     EXPECT_EQ(cell.v.LoadDirect(), 300u);
   }
+  if (param.two_scan_ns_only) {
+    EXPECT_EQ(lock.stats().Aggregate().commits[static_cast<int>(CommitPath::kSerial)],
+              300u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -320,7 +335,8 @@ INSTANTIATE_TEST_SUITE_P(
         VariantCase{RwLeVariant::kFair, 2, "fair-tiny-capacity"},
         VariantCase{RwLeVariant::kOpt, 64, "opt-split", true},
         VariantCase{RwLeVariant::kOpt, 2, "opt-split-tiny-capacity", true},
-        VariantCase{RwLeVariant::kPes, 2, "pes-split-tiny-capacity", true}),
+        VariantCase{RwLeVariant::kPes, 2, "pes-split-tiny-capacity", true},
+        VariantCase{RwLeVariant::kOpt, 64, "opt-two-scan-ns", false, true}),
     [](const ::testing::TestParamInfo<VariantCase>& info) {
       std::string name = info.param.name;
       for (auto& c : name) {

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/scenarios/driver.h"
+
 #include <algorithm>
 #include <set>
 #include <string>
@@ -90,6 +92,35 @@ TEST(ScenarioRegistryTest, DefaultSchemesAreConstructible) {
       EXPECT_NE(MakeLock(scheme), nullptr) << scheme;
     }
   }
+}
+
+// Runs rwle_bench in-process on one scenario and scheme list at a tiny
+// sweep size; returns its exit code.
+int RunBenchMain(const std::string& scenario, const std::string& schemes) {
+  std::vector<std::string> args = {"rwle_bench", "--scenario=" + scenario,
+                                   "--schemes=" + schemes, "--threads=1", "--ops=100"};
+  std::vector<char*> argv;
+  for (std::string& arg : args) {
+    argv.push_back(arg.data());
+  }
+  return BenchMain(static_cast<int>(argv.size()), argv.data(), nullptr);
+}
+
+// A --schemes name a selected scenario cannot run fails the whole
+// invocation before any run, instead of being skipped with a warning.
+TEST(ScenarioRegistryTest, BenchMainRejectsSchemesTheScenarioCannotRun) {
+  EXPECT_EQ(RunBenchMain("fig3", "rwle-bogus"), 1);
+  EXPECT_EQ(RunBenchMain("fig3", "rwle-opt,bogus"), 1);
+  EXPECT_EQ(RunBenchMain("ablation", "bogus"), 1);
+  // Ablation case labels are not lock-factory schemes, and vice versa.
+  EXPECT_EQ(RunBenchMain("ablation", "rwle-opt"), 1);
+  EXPECT_EQ(RunBenchMain("fig3", "no-rot"), 1);
+}
+
+TEST(ScenarioRegistryTest, BenchMainRunsValidSchemeNames) {
+  EXPECT_EQ(RunBenchMain("fig3", "rwle-opt,rwle+bravo"), 0);
+  EXPECT_EQ(RunBenchMain("ablation", "no-rot"), 0);
+  EXPECT_EQ(RunBenchMain("capacity", "rwle-chop,hle"), 0);
 }
 
 TEST(ScenarioRegistryTest, FindIsExactMatchOnly) {
