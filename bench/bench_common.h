@@ -1,21 +1,22 @@
 // Shared pieces of the benchmark stack: the resolved run options every
-// scenario receives, the (panel x scheme x thread-count) grid runner, and
-// the txsan analysis hooks. Flag parsing and scenario selection live in
-// bench/scenarios/driver.cc; the scenario definitions themselves live in
-// bench/scenarios/.
+// scenario receives, the one closed-loop cell runner every scenario sweep
+// goes through, and the txsan analysis hooks. Flag parsing and scenario
+// selection live in bench/scenarios/driver.cc; the scenario definitions
+// themselves live in bench/scenarios/.
 #ifndef RWLE_BENCH_BENCH_COMMON_H_
 #define RWLE_BENCH_BENCH_COMMON_H_
 
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/harness/bench_harness.h"
-#include "src/harness/result_sink.h"
+#include "src/harness/result_serializer.h"
 #include "src/locks/lock_factory.h"
 #include "src/trace/trace_sink.h"
 
@@ -40,13 +41,12 @@ struct BenchOptions {
   bool csv = false;
   bool full = false;
   bool analysis = false;
-  bool progress = false;
   // Sojourn-time SLO targets for open-loop scenarios, in modeled
   // nanoseconds; 0 lets the scenario pick its documented defaults.
   std::uint64_t slo_p99_ns = 0;
   std::uint64_t slo_p999_ns = 0;
   // Non-null when the driver got --trace=FILE: locks are constructed with
-  // this sink, and the grid labels a new trace run per benchmark cell.
+  // this sink, and RunCell labels a new trace run per benchmark cell.
   MemoryTraceSink* trace = nullptr;
 };
 
@@ -80,48 +80,76 @@ inline std::uint64_t FinishAnalysis(const BenchOptions& options) {
 #endif
 }
 
-// Runs the (write-ratio x scheme x thread-count) grid for one scenario,
-// feeding every RunResult to `sink` (tables, JSON archive and progress all
-// observe the same runs -- see result_sink.h).
+// A lock-factory lock for `scheme` that emits to the --trace sink, if any.
+inline std::unique_ptr<ElidableLock> MakeBenchLock(const std::string& scheme,
+                                                   const BenchOptions& options,
+                                                   LockOptions lock_options = {}) {
+  lock_options.trace_sink = options.trace;
+  return MakeLock(scheme, lock_options);
+}
+
+// Appends one completed run to `record` and reports it on stderr (never on
+// stdout, which carries the tables). Returns the appended result.
+inline RunResult& AddRun(ScenarioRecord& record, std::string_view scheme,
+                         double panel_value, RunResult result) {
+  record.entries.push_back({std::string(scheme), panel_value, std::move(result)});
+  ScenarioRecord::Entry& entry = record.entries.back();
+  const StatsSnapshot snapshot = entry.result.stats.Snapshot();
+  std::fprintf(stderr,
+               "[%s %zu] %s panel=%g threads=%u: modeled %.3f ms, wall %.1f ms, "
+               "%llu commits, %llu aborts\n",
+               record.manifest.scenario.c_str(), record.entries.size(),
+               entry.scheme.c_str(), panel_value, entry.result.threads,
+               entry.result.modeled_seconds * 1e3, entry.result.wall_seconds * 1e3,
+               static_cast<unsigned long long>(snapshot.commits.Total()),
+               static_cast<unsigned long long>(snapshot.aborts.Total()));
+  std::fflush(stderr);
+  return entry.result;
+}
+
+// Where one closed-loop cell sits in a scenario's sweep.
+struct Cell {
+  std::string trace_run;  // names the cell's run in the --trace timeline
+  double panel_value = 0.0;
+  double write_ratio = 0.0;
+  std::uint32_t threads = 0;
+};
+
+// Runs one closed-loop cell and appends it to `record` under the lock's
+// name. Every closed-loop scenario sweep goes through here.
 //
-// Workload state: `make_workload` builds a fresh workload for every
-// (ratio, scheme, thread-count) cell, so no run starts from state mutated
-// by a previous one. (Earlier revisions rebuilt only per (scheme, ratio)
-// and swept thread counts over one instance, so the 32-thread run of a
-// scheme started from whatever the 16-thread run left behind.)
+// Fresh state: the cell gets its own lock from `make_lock()` and its own
+// workload from `make_workload(lock)`, so no run starts from state a
+// previous one left behind. (A reused BRAVO lock, for one, would carry its
+// reader bias and an inhibit-until stamp on a cost clock RunBenchmark has
+// since reset.) `op(workload, lock, thread, rng, is_write)` runs one
+// operation.
 //
-// Seeding: a cell runs with DeriveCellSeed(options.seed, threads) -- see
+// Seeding: the cell runs with DeriveCellSeed(options.seed, threads) -- see
 // src/common/rng.h for the contract (RunBenchmark derives the per-thread
 // streams deterministically from this value).
-template <typename Workload>
-void RunFigureGrid(
-    const BenchOptions& options, ResultSink* sink,
-    const std::vector<double>& write_ratios, const std::vector<std::string>& schemes,
-    const std::function<std::unique_ptr<Workload>()>& make_workload,
-    const std::function<void(Workload&, ElidableLock&, Rng&, bool)>& op) {
-  for (const double ratio : write_ratios) {
-    for (const auto& scheme : schemes) {
-      LockOptions lock_options;
-      lock_options.trace_sink = options.trace;
-      auto lock = MakeLock(scheme, lock_options);
-      for (const std::uint32_t threads : options.thread_counts) {
-        auto workload = make_workload();
-        RunOptions run;
-        run.threads = threads;
-        run.total_ops = options.total_ops;
-        run.write_ratio = ratio;
-        run.seed = DeriveCellSeed(options.seed, threads);
-        if (options.trace != nullptr) {
-          options.trace->BeginRun(scheme, ratio * 100.0, threads);
-        }
-        const RunResult result =
-            RunBenchmark(run, *lock, [&](std::uint32_t, Rng& rng, bool is_write) {
-              op(*workload, *lock, rng, is_write);
-            });
-        sink->Add(*lock, ratio * 100.0, result);
-      }
-    }
+//
+// Returns the appended result, so a scenario can attach measurements of its
+// own.
+template <typename MakeLockFn, typename MakeWorkloadFn, typename Op>
+RunResult& RunCell(const BenchOptions& options, const Cell& cell, ScenarioRecord& record,
+                   const MakeLockFn& make_lock, const MakeWorkloadFn& make_workload,
+                   const Op& op) {
+  const auto lock = make_lock();
+  const auto workload = make_workload(*lock);
+  RunOptions run;
+  run.threads = cell.threads;
+  run.total_ops = options.total_ops;
+  run.write_ratio = cell.write_ratio;
+  run.seed = DeriveCellSeed(options.seed, cell.threads);
+  if (options.trace != nullptr) {
+    options.trace->BeginRun(cell.trace_run, cell.panel_value, cell.threads);
   }
+  RunResult result =
+      RunBenchmark(run, *lock, [&](std::uint32_t thread, Rng& rng, bool is_write) {
+        op(*workload, *lock, thread, rng, is_write);
+      });
+  return AddRun(record, lock->name(), cell.panel_value, std::move(result));
 }
 
 }  // namespace rwle

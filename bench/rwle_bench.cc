@@ -1,18 +1,7 @@
 // The unified experiment driver: runs any registered scenario (paper
 // Figures 3-10 plus the §3.3 ablations) through the single flag surface
 // documented in EXPERIMENTS.md. `rwle_bench --list-scenarios` shows what is
-// available; `--json`/`--json-dir` archive machine-readable results.
-//
-// This file is also the source of the per-figure compatibility binaries
-// (fig3_high_cap_high_cont etc.): CMake rebuilds it once per figure with
-// RWLE_FORCED_SCENARIO defined to the scenario name, which pins the binary
-// to that scenario exactly like the old hand-written shims did.
+// available; `--json` archives machine-readable results.
 #include "bench/scenarios/driver.h"
 
-#ifndef RWLE_FORCED_SCENARIO
-#define RWLE_FORCED_SCENARIO nullptr
-#endif
-
-int main(int argc, char** argv) {
-  return rwle::BenchMain(argc, argv, RWLE_FORCED_SCENARIO);
-}
+int main(int argc, char** argv) { return rwle::BenchMain(argc, argv); }

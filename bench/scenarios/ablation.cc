@@ -4,13 +4,14 @@
 //   (c) ROT fallback on vs off, (d) split ROT/NS locks.
 // Workload: the high-capacity/high-contention hashmap, the configuration
 // where fallback paths are exercised the most. The ablation cases play the
-// role of schemes (so --schemes filters them and every sink labels rows by
+// role of schemes (so --schemes filters them and the record labels rows by
 // case name). They are its only scheme names.
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "bench/scenarios/scenario.h"
-#include "src/common/rng.h"
 #include "src/locks/elidable_lock.h"
 #include "src/rwle/rwle_lock.h"
 #include "src/workloads/hashmap/hashmap_workload.h"
@@ -53,37 +54,28 @@ std::vector<AblationCase> Cases() {
 }
 
 void RunAblation(const ScenarioSpec& spec, const BenchOptions& options,
-                 const std::vector<std::string>& schemes, ResultSink& sink) {
-  for (const auto& ablation : Cases()) {
-    if (std::find(schemes.begin(), schemes.end(), ablation.name) == schemes.end()) {
-      continue;
-    }
-    RwLePolicy policy = ablation.policy;
-    policy.trace_sink = options.trace;
-    LockAdapter<RwLeLock> lock(ablation.name, policy);
-    lock.set_trace_sink(options.trace);
-    for (const double ratio : spec.panel_values) {
-      for (const std::uint32_t threads : options.thread_counts) {
-        // Fresh workload per cell and the DeriveCellSeed contract, matching
-        // RunFigureGrid (see bench_common.h).
-        auto workload = std::make_unique<HashMapWorkload>(
-            HashMapScenario::HighCapacityHighContention());
-        RunOptions run;
-        run.threads = threads;
-        run.total_ops = options.total_ops;
-        run.write_ratio = ratio;
-        run.seed = DeriveCellSeed(options.seed, threads);
-        if (options.trace != nullptr) {
-          options.trace->BeginRun(ablation.name, ratio * 100.0, threads);
-        }
-        const RunResult result =
-            RunBenchmark(run, lock, [&](std::uint32_t, Rng& rng, bool is_write) {
-              workload->Op(lock, rng, is_write);
-            });
-        sink.Add(lock, ratio * 100.0, result);
-      }
+                 const std::vector<std::string>& schemes, ScenarioRecord& record) {
+  const std::vector<AblationCase> cases = Cases();
+  // Cases run in declaration order, whatever order --schemes lists them in.
+  std::vector<std::string> selected;
+  for (const auto& ablation : cases) {
+    if (std::find(schemes.begin(), schemes.end(), ablation.name) != schemes.end()) {
+      selected.push_back(ablation.name);
     }
   }
+  RunFigureGrid<HashMapWorkload>(
+      spec, options, selected, record,
+      [&](const std::string& name) {
+        const auto ablation =
+            std::find_if(cases.begin(), cases.end(),
+                         [&](const AblationCase& c) { return c.name == name; });
+        RwLePolicy policy = ablation->policy;
+        policy.trace_sink = options.trace;
+        auto lock = std::make_unique<LockAdapter<RwLeLock>>(name, policy);
+        lock->set_trace_sink(options.trace);
+        return lock;
+      },
+      HashMapScenario::HighCapacityHighContention());
 }
 
 }  // namespace

@@ -24,7 +24,6 @@
 #include "src/chop/chopped_section.h"
 #include "src/common/rng.h"
 #include "src/locks/elidable_lock.h"
-#include "src/locks/lock_factory.h"
 #include "src/memory/tx_var.h"
 #include "src/rwle/rwle_lock.h"
 
@@ -85,103 +84,91 @@ std::uint64_t ReadStripe(PaddedCell* stripe, std::size_t footprint) {
   return sum;
 }
 
+// A read section: sums the next worker's stripe through the elided read path.
+void ReadNeighbourStripe(ElidableLock& lock, StripeTable& table, std::uint32_t tid,
+                         std::uint32_t threads) {
+  std::uint64_t sum = 0;
+  lock.Read([&] { sum = ReadStripe(table.Stripe((tid + 1) % threads), table.footprint()); });
+  (void)sum;
+}
+
 // The chopped variant is a per-callsite composition (ChoppedSection over an
 // RwLeLock), not a lock-factory scheme: chopping changes the shape of the
 // write *section*, which only the caller knows how to split into pieces.
-void RunChopped(const ScenarioSpec& spec, const BenchOptions& options,
-                std::size_t footprint, ResultSink& sink) {
+struct ChoppedStripes {
+  ChoppedStripes(RwLeLock& lock, const ChopPolicy& policy, std::uint32_t threads,
+                 std::size_t footprint)
+      : chopped(lock, policy), table(threads, footprint) {}
+
+  ChoppedSection chopped;
+  StripeTable table;
+};
+
+void RunChoppedCell(const BenchOptions& options, const Cell& cell, std::size_t footprint,
+                    ScenarioRecord& record) {
   const std::size_t pieces = (footprint + kPieceBudgetLines - 1) / kPieceBudgetLines;
-  for (const std::uint32_t threads : options.thread_counts) {
-    RwLePolicy policy;
-    policy.trace_sink = options.trace;
-    // Reads go through the adapter (timed, so the JSON latency block covers
-    // them); chopped writes drive the underlying lock directly, so write
-    // latencies are not sampled for this scheme -- throughput and the chop
-    // stats block are unaffected.
-    LockAdapter<RwLeLock> adapter("rwle-chop", policy);
-    adapter.set_trace_sink(options.trace);
-    ChopPolicy chop_policy;
-    // Disjoint stripes satisfy the chopping precondition, so chains may run
-    // concurrently (the serialized default would forfeit writer scaling).
-    chop_policy.serialize_chains = false;
-    chop_policy.trace_sink = options.trace;
-    ChoppedSection chopped(adapter.lock(), chop_policy);
-    StripeTable table(threads, footprint);
-
-    RunOptions run;
-    run.threads = threads;
-    run.total_ops = options.total_ops;
-    run.write_ratio = kWriteRatio;
-    run.seed = DeriveCellSeed(options.seed, threads);
-    if (options.trace != nullptr) {
-      options.trace->BeginRun("rwle-chop", static_cast<double>(footprint), threads);
-    }
-    const RunResult result =
-        RunBenchmark(run, adapter, [&](std::uint32_t tid, Rng& rng, bool is_write) {
-          if (is_write) {
-            PaddedCell* stripe = table.Stripe(tid);
-            chopped.Write(pieces, [&](std::size_t piece) {
-              const std::size_t begin = piece * kPieceBudgetLines;
-              const std::size_t end =
-                  begin + kPieceBudgetLines < footprint ? begin + kPieceBudgetLines
-                                                        : footprint;
-              WriteStripe(stripe, footprint, begin, end);
-            });
-          } else {
-            const std::uint32_t neighbour = (tid + 1) % threads;
-            std::uint64_t sum = 0;
-            adapter.Read([&] { sum = ReadStripe(table.Stripe(neighbour), footprint); });
-            (void)sum;
-            (void)rng;
-          }
+  ChopPolicy chop_policy;
+  // Disjoint stripes satisfy the chopping precondition, so chains may run
+  // concurrently (the serialized default would forfeit writer scaling).
+  chop_policy.serialize_chains = false;
+  chop_policy.trace_sink = options.trace;
+  RunCell(
+      options, cell, record,
+      [&] {
+        RwLePolicy policy;
+        policy.trace_sink = options.trace;
+        // Reads go through the adapter (timed, so the JSON latency block
+        // covers them); chopped writes drive the underlying lock directly, so
+        // write latencies are not sampled for this scheme -- throughput and
+        // the chop stats block are unaffected.
+        auto adapter = std::make_unique<LockAdapter<RwLeLock>>("rwle-chop", policy);
+        adapter->set_trace_sink(options.trace);
+        return adapter;
+      },
+      [&](LockAdapter<RwLeLock>& adapter) {
+        return std::make_unique<ChoppedStripes>(adapter.lock(), chop_policy, cell.threads,
+                                                footprint);
+      },
+      [&](ChoppedStripes& workload, ElidableLock& lock, std::uint32_t tid, Rng&,
+          bool is_write) {
+        if (!is_write) {
+          ReadNeighbourStripe(lock, workload.table, tid, cell.threads);
+          return;
+        }
+        PaddedCell* stripe = workload.table.Stripe(tid);
+        workload.chopped.Write(pieces, [&](std::size_t piece) {
+          const std::size_t begin = piece * kPieceBudgetLines;
+          const std::size_t end = begin + kPieceBudgetLines < footprint
+                                      ? begin + kPieceBudgetLines
+                                      : footprint;
+          WriteStripe(stripe, footprint, begin, end);
         });
-    sink.Add(adapter, static_cast<double>(footprint), result);
-  }
-  (void)spec;
-}
-
-void RunUnchopped(const std::string& scheme, const BenchOptions& options,
-                  std::size_t footprint, ResultSink& sink) {
-  for (const std::uint32_t threads : options.thread_counts) {
-    LockOptions lock_options;
-    lock_options.trace_sink = options.trace;
-    auto lock = MakeLock(scheme, lock_options);
-    StripeTable table(threads, footprint);
-
-    RunOptions run;
-    run.threads = threads;
-    run.total_ops = options.total_ops;
-    run.write_ratio = kWriteRatio;
-    run.seed = DeriveCellSeed(options.seed, threads);
-    if (options.trace != nullptr) {
-      options.trace->BeginRun(scheme, static_cast<double>(footprint), threads);
-    }
-    const RunResult result =
-        RunBenchmark(run, *lock, [&](std::uint32_t tid, Rng& rng, bool is_write) {
-          if (is_write) {
-            PaddedCell* stripe = table.Stripe(tid);
-            lock->Write([&] { WriteStripe(stripe, footprint, 0, footprint); });
-          } else {
-            const std::uint32_t neighbour = (tid + 1) % threads;
-            std::uint64_t sum = 0;
-            lock->Read([&] { sum = ReadStripe(table.Stripe(neighbour), footprint); });
-            (void)sum;
-            (void)rng;
-          }
-        });
-    sink.Add(*lock, static_cast<double>(footprint), result);
-  }
+      });
 }
 
 void RunCapacitySweep(const ScenarioSpec& spec, const BenchOptions& options,
-                      const std::vector<std::string>& schemes, ResultSink& sink) {
+                      const std::vector<std::string>& schemes, ScenarioRecord& record) {
   for (const double panel : spec.panel_values) {
     const std::size_t footprint = static_cast<std::size_t>(panel);
     for (const auto& scheme : schemes) {
-      if (scheme == "rwle-chop") {
-        RunChopped(spec, options, footprint, sink);
-      } else {
-        RunUnchopped(scheme, options, footprint, sink);
+      for (const std::uint32_t threads : options.thread_counts) {
+        const Cell cell{scheme, static_cast<double>(footprint), kWriteRatio, threads};
+        if (scheme == "rwle-chop") {
+          RunChoppedCell(options, cell, footprint, record);
+          continue;
+        }
+        RunCell(
+            options, cell, record, [&] { return MakeBenchLock(scheme, options); },
+            [&](ElidableLock&) { return std::make_unique<StripeTable>(threads, footprint); },
+            [&](StripeTable& table, ElidableLock& lock, std::uint32_t tid, Rng&,
+                bool is_write) {
+              if (!is_write) {
+                ReadNeighbourStripe(lock, table, tid, threads);
+                return;
+              }
+              PaddedCell* stripe = table.Stripe(tid);
+              lock.Write([&] { WriteStripe(stripe, footprint, 0, footprint); });
+            });
       }
     }
   }

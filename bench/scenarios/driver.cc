@@ -1,7 +1,6 @@
 #include "bench/scenarios/driver.h"
 
 #include <cstdio>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -9,12 +8,10 @@
 #include "bench/bench_common.h"
 #include "bench/scenarios/all_scenarios.h"
 #include "bench/scenarios/scenario.h"
-#include "src/common/check.h"
 #include "src/common/flags.h"
 #include "src/common/strings.h"
 #include "src/harness/figure_report.h"
 #include "src/harness/result_serializer.h"
-#include "src/harness/result_sink.h"
 #include "src/htm/htm_runtime.h"
 #include "src/htm/hw_profile.h"
 #include "src/memory/paging_model.h"
@@ -93,7 +90,7 @@ RunManifest BuildManifest(const ScenarioSpec& spec, const BenchOptions& options,
 
 }  // namespace
 
-int BenchMain(int argc, char** argv, const char* forced_scenario) {
+int BenchMain(int argc, char** argv) {
   RegisterAllScenarios();
   const ScenarioRegistry& registry = ScenarioRegistry::Global();
 
@@ -109,33 +106,20 @@ int BenchMain(int argc, char** argv, const char* forced_scenario) {
   bool full = false;
   bool analysis = false;
   bool sched_runs = false;
-  bool progress = false;
   std::uint64_t slo_p99_ns = 0;
   std::uint64_t slo_p999_ns = 0;
   std::string scenario_flag;
   bool run_all = false;
   std::string json_path;
-  std::string json_dir;
   std::string trace_path;
   bool list_scenarios = false;
   bool list_schemes = false;
   std::vector<std::string> positional;
 
-  std::string description;
-  const ScenarioSpec* forced = nullptr;
-  if (forced_scenario != nullptr) {
-    forced = registry.Find(forced_scenario);
-    RWLE_CHECK(forced != nullptr);
-    description = forced->title + "\n(compatibility shim for `rwle_bench --scenario=" +
-                  forced->name + "`)";
-  } else {
-    description =
-        "rwle_bench: unified driver for every evaluation scenario.\n"
-        "Pick work with --scenario=fig3[,fig5,...], positional names, or --all;\n"
-        "discover it with --list-scenarios / --list-schemes.";
-  }
-
-  FlagSet flags(description);
+  FlagSet flags(
+      "rwle_bench: unified driver for every evaluation scenario.\n"
+      "Pick work with --scenario=fig3[,fig5,...], positional names, or --all;\n"
+      "discover it with --list-scenarios / --list-schemes.");
   flags.AddString("threads", &threads, "comma-separated thread counts");
   flags.AddUint("ops", &ops, "total operations per run (0 = scenario default)");
   flags.AddString("schemes", &schemes_flag,
@@ -154,8 +138,6 @@ int BenchMain(int argc, char** argv, const char* forced_scenario) {
   flags.AddBool("sched", &sched_runs,
                 "serialize each run's measured region under the deterministic "
                 "scheduler, seeded from --seed (requires an RWLE_SCHED build)");
-  flags.AddBool("progress", &progress,
-                "stream one line per completed run to stderr");
   flags.AddUint("slo-p99-ns", &slo_p99_ns,
                 "open-loop scenarios: p99 sojourn target in modeled ns "
                 "(0 = scenario default)");
@@ -164,8 +146,6 @@ int BenchMain(int argc, char** argv, const char* forced_scenario) {
                 "(0 = scenario default)");
   flags.AddString("json", &json_path,
                   "write all selected scenarios as one JSON document to this file");
-  flags.AddString("json-dir", &json_dir,
-                  "write one JSON document per scenario to DIR/<scenario>.json");
   flags.AddString("trace", &trace_path,
                   "record transaction-level events and write a Chrome "
                   "trace_event JSON file (view in Perfetto)");
@@ -173,12 +153,10 @@ int BenchMain(int argc, char** argv, const char* forced_scenario) {
                 "print the scenario registry and exit");
   flags.AddBool("list-schemes", &list_schemes,
                 "print every scheme the lock factory can build and exit");
-  if (forced == nullptr) {
-    flags.AddString("scenario", &scenario_flag,
-                    "comma-separated scenario names to run (see --list-scenarios)");
-    flags.AddBool("all", &run_all, "run every registered scenario");
-    flags.AllowPositional(&positional, "scenario names (same as --scenario)");
-  }
+  flags.AddString("scenario", &scenario_flag,
+                  "comma-separated scenario names to run (see --list-scenarios)");
+  flags.AddBool("all", &run_all, "run every registered scenario");
+  flags.AllowPositional(&positional, "scenario names (same as --scenario)");
   if (!flags.Parse(argc, argv)) {
     return 1;
   }
@@ -225,7 +203,6 @@ int BenchMain(int argc, char** argv, const char* forced_scenario) {
   options.csv = csv;
   options.full = full;
   options.analysis = analysis;
-  options.progress = progress;
   options.slo_p99_ns = slo_p99_ns;
   options.slo_p999_ns = slo_p999_ns;
   if (analysis && !EnableAnalysis()) {
@@ -251,9 +228,7 @@ int BenchMain(int argc, char** argv, const char* forced_scenario) {
   }
 
   std::vector<std::string> selected;
-  if (forced != nullptr) {
-    selected.push_back(forced->name);
-  } else if (run_all) {
+  if (run_all) {
     selected = registry.Names();
   } else {
     for (const auto& name : SplitCommaList(scenario_flag)) {
@@ -286,19 +261,7 @@ int BenchMain(int argc, char** argv, const char* forced_scenario) {
     }
   }
 
-  const bool want_json = !json_path.empty() || !json_dir.empty();
-  if (!json_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(json_dir, ec);
-    if (ec) {
-      std::fprintf(stderr, "cannot create --json-dir %s: %s\n", json_dir.c_str(),
-                   ec.message().c_str());
-      return 1;
-    }
-  }
-
-  bool io_ok = true;
-  std::vector<std::unique_ptr<JsonResultSink>> archives;
+  std::vector<ScenarioRecord> records;
   for (const auto& name : selected) {
     const ScenarioSpec& spec = *registry.Find(name);
 
@@ -310,22 +273,8 @@ int BenchMain(int argc, char** argv, const char* forced_scenario) {
             ? options.schemes
             : (!spec.default_schemes.empty() ? spec.default_schemes : AllLockNames());
 
-    FigureReport report(spec.title, spec.panel_label);
-    TeeSink tee;
-    tee.AddSink(&report);
-    std::unique_ptr<JsonResultSink> archive;
-    if (want_json) {
-      archive = std::make_unique<JsonResultSink>(
-          BuildManifest(spec, run_options, schemes));
-      tee.AddSink(archive.get());
-    }
-    std::unique_ptr<ProgressSink> progress_sink;
-    if (options.progress) {
-      progress_sink = std::make_unique<ProgressSink>(
-          spec.name, spec.panel_values.size() * schemes.size() *
-                         run_options.thread_counts.size());
-      tee.AddSink(progress_sink.get());
-    }
+    ScenarioRecord& record = records.emplace_back();
+    record.manifest = BuildManifest(spec, run_options, schemes);
 
     if (trace_sink != nullptr) {
       trace_sink->set_scenario(spec.name);
@@ -337,32 +286,17 @@ int BenchMain(int argc, char** argv, const char* forced_scenario) {
       HtmRuntime::Global().set_interrupt_source(paging.get());
     }
 
-    spec.run(spec, run_options, schemes, tee);
+    spec.run(spec, run_options, schemes, record);
 
-    std::printf("%s", report.Render(options.csv).c_str());
+    std::printf("%s", RenderFigureReport(record, options.csv).c_str());
     if (paging != nullptr) {
       std::printf("paging faults injected: %llu\n",
                   static_cast<unsigned long long>(paging->TotalFaults()));
       HtmRuntime::Global().set_interrupt_source(nullptr);
     }
-
-    if (!json_dir.empty()) {
-      const std::string path = json_dir + "/" + spec.name + ".json";
-      io_ok = WriteResultFile(path, {archive.get()}) && io_ok;
-    }
-    if (archive != nullptr) {
-      archives.push_back(std::move(archive));
-    }
   }
 
-  if (!json_path.empty()) {
-    std::vector<const JsonResultSink*> views;
-    views.reserve(archives.size());
-    for (const auto& archive : archives) {
-      views.push_back(archive.get());
-    }
-    io_ok = WriteResultFile(json_path, views) && io_ok;
-  }
+  bool io_ok = json_path.empty() || WriteResultFile(json_path, records);
 
   if (trace_sink != nullptr) {
     HtmRuntime::Global().set_trace_sink(nullptr);

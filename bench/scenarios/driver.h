@@ -1,20 +1,18 @@
-// The unified benchmark driver behind the `rwle_bench` binary and the
-// per-figure compatibility shims: parses flags, selects scenarios from the
-// registry, runs each grid once, and fans the results out to the ASCII/CSV
-// report, the JSON archive (--json / --json-dir) and the progress stream
-// (--progress).
+// The unified benchmark driver behind the `rwle_bench` binary: parses
+// flags, selects scenarios from the registry, runs each grid once into a
+// ScenarioRecord, then renders the ASCII/CSV report from the record and
+// writes the JSON archive (--json) from all records.
 #ifndef RWLE_BENCH_SCENARIOS_DRIVER_H_
 #define RWLE_BENCH_SCENARIOS_DRIVER_H_
 
 namespace rwle {
 
-// Runs the driver. `forced_scenario` pins the run to one registry entry
-// (how the old fig* binaries stay alive as thin shims); nullptr lets the
-// user pick via --scenario=..., positional names, or --all.
+// Runs the driver; the user picks scenarios via --scenario=..., positional
+// names, or --all.
 //
 // Exit codes: 0 success, 1 usage or I/O error, 2 txsan violations under
 // --analysis.
-int BenchMain(int argc, char** argv, const char* forced_scenario);
+int BenchMain(int argc, char** argv);
 
 }  // namespace rwle
 

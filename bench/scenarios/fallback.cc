@@ -11,13 +11,10 @@
 // scaling -- the crossover the ISSUE's acceptance criterion pins at >= 2x
 // for >= 256 threads and >= 95% reads. "rwl" and standalone "bravo" anchor
 // the same comparison for plain (non-elided) locks.
-#include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/scenarios/scenario.h"
-#include "src/common/rng.h"
 #include "src/locks/lock_factory.h"
 #include "src/workloads/hashmap/hashmap_workload.h"
 
@@ -30,35 +27,16 @@ constexpr std::size_t kFallbackBuckets = 1024;
 constexpr std::size_t kFallbackPerBucket = 8;
 
 void RunFallbackSweep(const ScenarioSpec& spec, const BenchOptions& options,
-                      const std::vector<std::string>& schemes, ResultSink& sink) {
-  for (const double ratio : spec.panel_values) {
-    for (const auto& scheme : schemes) {
-      LockOptions lock_options;
-      lock_options.trace_sink = options.trace;
-      // No speculation: every write demotes straight to the NS path, making
-      // the blocked-reader fallback the hot path under measurement.
-      lock_options.max_htm_retries = 0;
-      lock_options.max_rot_retries = 0;
-      auto lock = MakeLock(scheme, lock_options);
-      for (const std::uint32_t threads : options.thread_counts) {
-        auto workload = std::make_unique<HashMapWorkload>(
-            HashMapScenario{kFallbackBuckets, kFallbackPerBucket});
-        RunOptions run;
-        run.threads = threads;
-        run.total_ops = options.total_ops;
-        run.write_ratio = ratio;
-        run.seed = DeriveCellSeed(options.seed, threads);
-        if (options.trace != nullptr) {
-          options.trace->BeginRun(scheme, ratio * 100.0, threads);
-        }
-        const RunResult result =
-            RunBenchmark(run, *lock, [&](std::uint32_t, Rng& rng, bool is_write) {
-              workload->Op(*lock, rng, is_write);
-            });
-        sink.Add(*lock, ratio * 100.0, result);
-      }
-    }
-  }
+                      const std::vector<std::string>& schemes, ScenarioRecord& record) {
+  // No speculation: every write demotes straight to the NS path, making the
+  // blocked-reader fallback the hot path under measurement.
+  LockOptions lock_options;
+  lock_options.max_htm_retries = 0;
+  lock_options.max_rot_retries = 0;
+  RunFigureGrid<HashMapWorkload>(
+      spec, options, schemes, record,
+      [&](const std::string& scheme) { return MakeBenchLock(scheme, options, lock_options); },
+      HashMapScenario{kFallbackBuckets, kFallbackPerBucket});
 }
 
 }  // namespace

@@ -3,8 +3,6 @@
 // and HLE by an order of magnitude (stock-level overflows read capacity);
 // the 50%-write panel scales for nobody, but RW-LE stays ~25% ahead of HLE
 // thanks to ROTs.
-#include <memory>
-
 #include "bench/scenarios/scenario.h"
 #include "src/workloads/tpcc/tpcc.h"
 
@@ -19,11 +17,7 @@ ScenarioSpec Fig10Scenario() {
   spec.panel_values = {0.01, 0.10, 0.50};
   spec.default_ops = 8000;
   spec.full_ops = 80000;
-  spec.run = MakeGridRunner<TpccWorkload>(
-      [] { return std::make_unique<TpccWorkload>(); },
-      [](TpccWorkload& workload, ElidableLock& lock, Rng& rng, bool is_write) {
-        workload.Op(lock, rng, is_write);
-      });
+  spec.run = MakeGridRunner<TpccWorkload>();
   return spec;
 }
 

@@ -2,7 +2,8 @@
 // (single bucket). Expected shape: RW-LE variants dominate in the
 // read-dominated panels (HLE collapses to the serial path on capacity);
 // in the 90%-write panel RW-LE_PES stays competitive via ROTs.
-#include "bench/scenarios/hashmap_grid.h"
+#include "bench/scenarios/scenario.h"
+#include "src/workloads/hashmap/hashmap_workload.h"
 
 namespace rwle {
 
@@ -15,7 +16,7 @@ ScenarioSpec Fig3Scenario() {
   spec.panel_values = {0.01, 0.10, 0.90};
   spec.default_ops = 20000;
   spec.full_ops = 200000;
-  spec.run = HashMapGridRunner(HashMapScenario::HighCapacityHighContention());
+  spec.run = MakeGridRunner<HashMapWorkload>(HashMapScenario::HighCapacityHighContention());
   return spec;
 }
 

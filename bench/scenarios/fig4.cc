@@ -1,7 +1,8 @@
 // Figure 4: high capacity pressure, low contention (many buckets).
 // Expected shape: RW-LE wins read-dominated panels; RW-LE_PES pays a
 // serialization toll vs RW-LE_OPT (writers rarely conflict here).
-#include "bench/scenarios/hashmap_grid.h"
+#include "bench/scenarios/scenario.h"
+#include "src/workloads/hashmap/hashmap_workload.h"
 
 namespace rwle {
 
@@ -14,7 +15,7 @@ ScenarioSpec Fig4Scenario() {
   spec.panel_values = {0.01, 0.10, 0.90};
   spec.default_ops = 20000;
   spec.full_ops = 200000;
-  spec.run = HashMapGridRunner(HashMapScenario::HighCapacityLowContention());
+  spec.run = MakeGridRunner<HashMapWorkload>(HashMapScenario::HighCapacityLowContention());
   return spec;
 }
 

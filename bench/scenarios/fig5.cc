@@ -2,7 +2,8 @@
 // bucket). Expected shape: HLE commits mostly in HTM but conflicts burn its
 // retry budget at high thread counts; RW-LE falls back to ROTs, which
 // serialize writers yet keep readers running.
-#include "bench/scenarios/hashmap_grid.h"
+#include "bench/scenarios/scenario.h"
+#include "src/workloads/hashmap/hashmap_workload.h"
 
 namespace rwle {
 
@@ -15,7 +16,7 @@ ScenarioSpec Fig5Scenario() {
   spec.panel_values = {0.01, 0.10, 0.90};
   spec.default_ops = 20000;
   spec.full_ops = 200000;
-  spec.run = HashMapGridRunner(HashMapScenario::LowCapacityHighContention());
+  spec.run = MakeGridRunner<HashMapWorkload>(HashMapScenario::LowCapacityHighContention());
   return spec;
 }
 

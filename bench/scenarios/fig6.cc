@@ -4,7 +4,8 @@
 // "HTM non-tx" (interrupt) aborts; RW-LE readers are immune because they
 // never speculate, giving up to order-of-magnitude gains; RW-LE_PES pays
 // ~2x vs RW-LE_OPT for serializing writers in this low-conflict setting.
-#include "bench/scenarios/hashmap_grid.h"
+#include "bench/scenarios/scenario.h"
+#include "src/workloads/hashmap/hashmap_workload.h"
 
 namespace rwle {
 
@@ -19,7 +20,7 @@ ScenarioSpec Fig6Scenario() {
   spec.default_ops = 20000;
   spec.full_ops = 200000;
   spec.enable_paging = true;
-  spec.run = HashMapGridRunner(HashMapScenario::LowCapacityLowContention());
+  spec.run = MakeGridRunner<HashMapWorkload>(HashMapScenario::LowCapacityLowContention());
   return spec;
 }
 

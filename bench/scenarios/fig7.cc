@@ -3,7 +3,8 @@
 // often) versus the FAIR variant, on the high-capacity/high-contention
 // hashmap. Expected shape: the fair variant wins at high thread counts and
 // low write ratios (where reader starvation bites) and is otherwise a wash.
-#include "bench/scenarios/hashmap_grid.h"
+#include "bench/scenarios/scenario.h"
+#include "src/workloads/hashmap/hashmap_workload.h"
 
 namespace rwle {
 
@@ -17,7 +18,7 @@ ScenarioSpec Fig7Scenario() {
   spec.default_schemes = {"rwle-norot", "rwle-fair"};
   spec.default_ops = 20000;
   spec.full_ops = 200000;
-  spec.run = HashMapGridRunner(HashMapScenario::HighCapacityHighContention());
+  spec.run = MakeGridRunner<HashMapWorkload>(HashMapScenario::HighCapacityHighContention());
   return spec;
 }
 

@@ -2,8 +2,6 @@
 // shape: both RW-LE variants beat RWL (the best baseline) by ~2x and HLE by
 // up to an order of magnitude -- STMBench7's large critical sections make
 // HLE capacity-abort into the serial path almost always.
-#include <memory>
-
 #include "bench/scenarios/scenario.h"
 #include "src/workloads/stmbench7/stmbench7.h"
 
@@ -18,11 +16,7 @@ ScenarioSpec Fig8Scenario() {
   spec.panel_values = {0.10, 0.50, 0.90};
   spec.default_ops = 8000;
   spec.full_ops = 80000;
-  spec.run = MakeGridRunner<Stmbench7Workload>(
-      [] { return std::make_unique<Stmbench7Workload>(); },
-      [](Stmbench7Workload& workload, ElidableLock& lock, Rng& rng, bool is_write) {
-        workload.Op(lock, rng, is_write);
-      });
+  spec.run = MakeGridRunner<Stmbench7Workload>();
   return spec;
 }
 

@@ -3,8 +3,6 @@
 // record traffic until the (non-elided) inner slot mutexes saturate;
 // BRLock stops scaling earlier (writers sweep all private mutexes); RW-LE
 // keeps a ~2x edge even in the 10% panel.
-#include <memory>
-
 #include "bench/scenarios/scenario.h"
 #include "src/workloads/kyoto/cache_db.h"
 
@@ -19,11 +17,7 @@ ScenarioSpec Fig9Scenario() {
   spec.panel_values = {0.001, 0.05, 0.10};
   spec.default_ops = 8000;
   spec.full_ops = 80000;
-  spec.run = MakeGridRunner<KyotoWorkload>(
-      [] { return std::make_unique<KyotoWorkload>(); },
-      [](KyotoWorkload& workload, ElidableLock& lock, Rng& rng, bool is_write) {
-        workload.Op(lock, rng, is_write);
-      });
+  spec.run = MakeGridRunner<KyotoWorkload>();
   return spec;
 }
 

@@ -51,7 +51,6 @@
 #include "src/common/rng.h"
 #include "src/htm/htm_runtime.h"
 #include "src/htm/hw_profile.h"
-#include "src/locks/lock_factory.h"
 #include "src/memory/tx_var.h"
 
 namespace rwle {
@@ -148,7 +147,7 @@ class ScopedHtmConfig {
 };
 
 void RunPortabilitySweep(const ScenarioSpec& spec, const BenchOptions& options,
-                         const std::vector<std::string>& schemes, ResultSink& sink) {
+                         const std::vector<std::string>& schemes, ScenarioRecord& record) {
   HtmRuntime& runtime = HtmRuntime::Global();
   const ScopedHtmConfig restore_config(runtime);
   const std::vector<HwProfile>& profiles = AllHwProfiles();
@@ -163,49 +162,40 @@ void RunPortabilitySweep(const ScenarioSpec& spec, const BenchOptions& options,
     const HwProfile& profile = profiles[index];
     for (const auto& scheme : schemes) {
       for (const std::uint32_t threads : options.thread_counts) {
-        LockOptions lock_options;
-        lock_options.trace_sink = options.trace;
-        auto lock = MakeLock(scheme, lock_options);
         // No transaction is live between cells, so swapping the TM model
         // here is legal (set_config checks); restored after the sweep.
         runtime.set_config(profile.config);
-        auto table = std::make_unique<PairTable>();
         std::atomic<std::uint64_t> torn_observed{0};
         std::atomic<std::uint64_t> torn_committed{0};
-
-        RunOptions run;
-        run.threads = threads;
-        run.total_ops = options.total_ops;
-        run.write_ratio = kWriteRatio;
-        run.seed = DeriveCellSeed(options.seed, threads);
-        if (options.trace != nullptr) {
-          options.trace->BeginRun(scheme + "@" + profile.name,
-                                  static_cast<double>(index), threads);
-        }
-        RunResult result =
-            RunBenchmark(run, *lock, [&](std::uint32_t, Rng& rng, bool is_write) {
+        RunResult& result = RunCell(
+            options,
+            {scheme + "@" + profile.name, static_cast<double>(index), kWriteRatio, threads},
+            record, [&] { return MakeBenchLock(scheme, options); },
+            [](ElidableLock&) { return std::make_unique<PairTable>(); },
+            [&](PairTable& table, ElidableLock& lock, std::uint32_t, Rng& rng,
+                bool is_write) {
               if (is_write) {
                 const std::size_t pair = rng.NextBelow(kPairs);
                 const bool big = rng.NextBool(kBigWriteRatio);
-                lock->Write([&] { table->WritePair(pair, big); });
-              } else {
-                // `torn` is plain host state, invisible to the simulated
-                // fabric: writes from aborted (zombie) executions survive,
-                // which is what torn_observed is for. The value left by the
-                // *last* execution is the committed one.
-                bool torn = false;
-                lock->Read([&] {
-                  torn = table->ScanTorn();
-                  if (torn) {
-                    // Relaxed: pure counter; nothing is published with it
-                    // and the final reads happen after thread join.
-                    torn_observed.fetch_add(1, std::memory_order_relaxed);
-                  }
-                });
+                lock.Write([&] { table.WritePair(pair, big); });
+                return;
+              }
+              // `torn` is plain host state, invisible to the simulated
+              // fabric: writes from aborted (zombie) executions survive,
+              // which is what torn_observed is for. The value left by the
+              // *last* execution is the committed one.
+              bool torn = false;
+              lock.Read([&] {
+                torn = table.ScanTorn();
                 if (torn) {
-                  // Relaxed: same counter discipline as above.
-                  torn_committed.fetch_add(1, std::memory_order_relaxed);
+                  // Relaxed: pure counter; nothing is published with it
+                  // and the final reads happen after thread join.
+                  torn_observed.fetch_add(1, std::memory_order_relaxed);
                 }
+              });
+              if (torn) {
+                // Relaxed: same counter discipline as above.
+                torn_committed.fetch_add(1, std::memory_order_relaxed);
               }
             });
         result.portability.hw_profile = profile.name;
@@ -216,7 +206,6 @@ void RunPortabilitySweep(const ScenarioSpec& spec, const BenchOptions& options,
         result.portability.torn_committed =
             // Relaxed: same post-join read as above.
             torn_committed.load(std::memory_order_relaxed);
-        sink.Add(*lock, static_cast<double>(index), result);
       }
     }
   }

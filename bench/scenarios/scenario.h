@@ -1,14 +1,15 @@
 // The scenario registry: every paper figure (and the ablation study) is a
 // declarative ScenarioSpec -- name, paper figure, panel values, default
 // scheme set, sweep sizes, and a `run` callable that executes the grid and
-// feeds a ResultSink. The unified driver (driver.h) looks scenarios up here;
-// bench/scenarios/figN*.cc define one spec each and all_scenarios.cc
-// registers them.
+// appends every run to a ScenarioRecord. The driver (driver.h) looks
+// scenarios up here; bench/scenarios/figN*.cc define one spec each and
+// all_scenarios.cc registers them.
 #ifndef RWLE_BENCH_SCENARIOS_SCENARIO_H_
 #define RWLE_BENCH_SCENARIOS_SCENARIO_H_
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,11 +21,11 @@ struct ScenarioSpec;
 
 // Executes the scenario's whole grid. `schemes` is the resolved scheme list
 // (user --schemes or the spec's defaults), every name one that
-// `spec.Accepts`; every completed run is pushed into `sink`. Panel values
+// `spec.Accepts`; every completed run is appended to `record`. Panel values
 // come from `spec.panel_values`.
 using ScenarioRunFn = std::function<void(
     const ScenarioSpec& spec, const BenchOptions& options,
-    const std::vector<std::string>& schemes, ResultSink& sink)>;
+    const std::vector<std::string>& schemes, ScenarioRecord& record)>;
 
 struct ScenarioSpec {
   std::string name;         // registry key and results/<name>.json stem, e.g. "fig3"
@@ -69,17 +70,37 @@ class ScenarioRegistry {
   std::vector<ScenarioSpec> specs_;
 };
 
-// Standard grid runner over a workload type: sweeps
-// (spec.panel_values x schemes x options.thread_counts) via RunFigureGrid.
-template <typename Workload>
-ScenarioRunFn MakeGridRunner(
-    std::function<std::unique_ptr<Workload>()> make_workload,
-    std::function<void(Workload&, ElidableLock&, Rng&, bool)> op) {
-  return [make_workload = std::move(make_workload), op = std::move(op)](
-             const ScenarioSpec& spec, const BenchOptions& options,
-             const std::vector<std::string>& schemes, ResultSink& sink) {
-    RunFigureGrid<Workload>(options, &sink, spec.panel_values, schemes,
-                            make_workload, op);
+// Sweeps (spec.panel_values x schemes x options.thread_counts), scheme-major
+// within each panel, one RunCell per cell. A panel value is a write ratio;
+// each cell runs on `make_lock(scheme)` and a fresh `Workload(args...)`,
+// whose Op(lock, rng, is_write) is one operation.
+template <typename Workload, typename MakeLockFn, typename... Args>
+void RunFigureGrid(const ScenarioSpec& spec, const BenchOptions& options,
+                   const std::vector<std::string>& schemes, ScenarioRecord& record,
+                   const MakeLockFn& make_lock, const Args&... args) {
+  for (const double ratio : spec.panel_values) {
+    for (const auto& scheme : schemes) {
+      for (const std::uint32_t threads : options.thread_counts) {
+        RunCell(
+            options, {scheme, ratio * 100.0, ratio, threads}, record,
+            [&] { return make_lock(scheme); },
+            [&](ElidableLock&) { return std::make_unique<Workload>(args...); },
+            [](Workload& workload, ElidableLock& lock, std::uint32_t, Rng& rng,
+               bool is_write) { workload.Op(lock, rng, is_write); });
+      }
+    }
+  }
+}
+
+// The figure scenarios' runner: RunFigureGrid over lock-factory schemes.
+template <typename Workload, typename... Args>
+ScenarioRunFn MakeGridRunner(Args... args) {
+  return [args...](const ScenarioSpec& spec, const BenchOptions& options,
+                   const std::vector<std::string>& schemes, ScenarioRecord& record) {
+    RunFigureGrid<Workload>(
+        spec, options, schemes, record,
+        [&](const std::string& scheme) { return MakeBenchLock(scheme, options); },
+        args...);
   };
 }
 

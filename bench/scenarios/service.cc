@@ -20,7 +20,6 @@
 
 #include "bench/scenarios/scenario.h"
 #include "src/common/rng.h"
-#include "src/locks/lock_factory.h"
 #include "src/workloads/hashmap/hashmap_workload.h"
 
 namespace rwle {
@@ -60,7 +59,7 @@ class ZipfHashMapWorkload {
 };
 
 void RunServiceSweep(const ScenarioSpec& spec, const BenchOptions& options,
-                     const std::vector<std::string>& schemes, ResultSink& sink) {
+                     const std::vector<std::string>& schemes, ScenarioRecord& record) {
   // The service pool is fixed at the largest requested thread count; the
   // sweep axis is offered load, not pool size.
   const std::uint32_t pool =
@@ -71,9 +70,6 @@ void RunServiceSweep(const ScenarioSpec& spec, const BenchOptions& options,
       options.slo_p999_ns != 0 ? options.slo_p999_ns : kDefaultSloP999Ns;
 
   for (const auto& scheme : schemes) {
-    LockOptions lock_options;
-    lock_options.trace_sink = options.trace;
-
     // Calibration: mean service time under a single-threaded closed loop
     // (no queueing, no contention), from which the pool's ideal capacity is
     // extrapolated. Deliberately per scheme: "90% of capacity" should mean
@@ -81,7 +77,7 @@ void RunServiceSweep(const ScenarioSpec& spec, const BenchOptions& options,
     // equal relative stress.
     double capacity_ops = 0.0;
     {
-      auto lock = MakeLock(scheme, lock_options);
+      auto lock = MakeBenchLock(scheme, options);
       auto workload = std::make_unique<ZipfHashMapWorkload>();
       RunOptions calibration;
       calibration.threads = 1;
@@ -99,7 +95,7 @@ void RunServiceSweep(const ScenarioSpec& spec, const BenchOptions& options,
 
     for (const double load : spec.panel_values) {
       const double panel = load * 100.0;  // displayed as % of capacity
-      auto lock = MakeLock(scheme, lock_options);
+      auto lock = MakeBenchLock(scheme, options);
       auto workload = std::make_unique<ZipfHashMapWorkload>();
       ServiceRunOptions run;
       run.threads = pool;
@@ -112,11 +108,10 @@ void RunServiceSweep(const ScenarioSpec& spec, const BenchOptions& options,
       if (options.trace != nullptr) {
         options.trace->BeginRun(scheme, panel, pool);
       }
-      const RunResult result =
-          RunServiceBenchmark(run, *lock, [&](std::uint32_t, Rng& rng, bool is_write) {
-            workload->Op(*lock, rng, is_write);
-          });
-      sink.Add(*lock, panel, result);
+      AddRun(record, lock->name(), panel,
+             RunServiceBenchmark(run, *lock, [&](std::uint32_t, Rng& rng, bool is_write) {
+               workload->Op(*lock, rng, is_write);
+             }));
     }
   }
 }

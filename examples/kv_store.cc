@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
     options.total_ops = ops;
     options.write_ratio = static_cast<double>(writes_pct) / 100.0;
     const rwle::RunResult result = rwle::RunBenchmark(
-        options, lock->stats(), [&](std::uint32_t, rwle::Rng& rng, bool is_write) {
+        options, *lock, [&](std::uint32_t, rwle::Rng& rng, bool is_write) {
           store.Op(*lock, rng, is_write);
         });
 

@@ -33,11 +33,10 @@ template <typename Body>
 double RunWorkers(std::uint32_t threads, std::uint64_t total_ops, std::uint64_t seed,
                   const Body& body) {
 #ifdef RWLE_SCHED
-  // --sched / RWLE_SCHED=1: serialize the measured region of this cell
-  // under a seeded random schedule (controlled-stress mode, see
-  // src/sched/scheduler.h). Workers only become participants after the
-  // start barrier, so setup and the barrier itself stay free-running.
-  sched::InitScheduledRunsFromEnv();
+  // --sched: serialize the measured region of this cell under a seeded
+  // random schedule (controlled-stress mode, see src/sched/scheduler.h).
+  // Workers only become participants after the start barrier, so setup and
+  // the barrier itself stay free-running.
   std::unique_ptr<sched::RandomStrategy> sched_strategy;
   if (sched::ScheduledRunsEnabled()) {
     sched_strategy = std::make_unique<sched::RandomStrategy>(
@@ -101,11 +100,12 @@ double RunWorkers(std::uint32_t threads, std::uint64_t total_ops, std::uint64_t 
 
 }  // namespace
 
-RunResult RunBenchmark(const RunOptions& options, StatsRegistry& stats, const OpFn& op) {
+RunResult RunBenchmark(const RunOptions& options, ElidableLock& lock, const OpFn& op) {
   RWLE_CHECK(options.threads > 0);
   RWLE_CHECK(options.threads <= kMaxThreads);
 
-  stats.Reset();
+  lock.stats().Reset();
+  lock.latency().Reset();
   CostMeter::Global().Reset();
   CostMeter::Global().set_contention_factor(options.threads);
 
@@ -124,13 +124,7 @@ RunResult RunBenchmark(const RunOptions& options, StatsRegistry& stats, const Op
   result.wall_seconds = wall;
   result.cost = CostMeter::Global().Aggregate();
   result.modeled_seconds = CostMeter::ModeledSeconds(result.cost, options.threads);
-  result.stats = stats.Aggregate();
-  return result;
-}
-
-RunResult RunBenchmark(const RunOptions& options, ElidableLock& lock, const OpFn& op) {
-  lock.latency().Reset();
-  RunResult result = RunBenchmark(options, lock.stats(), op);
+  result.stats = lock.stats().Aggregate();
   result.latency = lock.latency().Snapshot();
   return result;
 }

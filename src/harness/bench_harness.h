@@ -34,8 +34,8 @@ struct RunResult {
   double modeled_seconds = 0.0;
   CostMeter::Totals cost;
   ThreadStats stats;
-  // Modeled per-op latency percentiles; populated only by the ElidableLock
-  // overload of RunBenchmark (all-zero counts otherwise).
+  // Modeled per-op latency percentiles, snapshotted from the lock's latency
+  // registry (see ElidableLock::latency()).
   LatencySnapshot latency;
   // Open-loop service measurement; populated only by RunServiceBenchmark
   // (arrivals == 0 otherwise, and the serializer omits the block).
@@ -53,15 +53,12 @@ struct RunResult {
 // and whether this operation must use the write lock.
 using OpFn = std::function<void(std::uint32_t thread_index, Rng& rng, bool is_write)>;
 
-// Runs the benchmark. Resets and then harvests `stats` (the lock's registry)
-// and the global CostMeter. Worker threads register ScopedThreadSlots; the
+// Runs the benchmark against `lock`: resets the lock's stats and latency
+// registries and the global CostMeter, runs the workers, then harvests all
+// three into the result. The op callback is responsible for calling
+// lock.Read/Write itself. Worker threads register ScopedThreadSlots; the
 // caller must NOT hold one on the calling thread while the run executes
 // workers (the harness runs ops only on the spawned workers).
-RunResult RunBenchmark(const RunOptions& options, StatsRegistry& stats, const OpFn& op);
-
-// Same, driving an ElidableLock: additionally resets the lock's latency
-// registry before the run and snapshots it into result.latency after. The
-// op callback is still responsible for calling lock.Read/Write itself.
 RunResult RunBenchmark(const RunOptions& options, ElidableLock& lock, const OpFn& op);
 
 // Open-loop service run (DESIGN.md §12, EXPERIMENTS.md "Open-loop service

@@ -1,7 +1,10 @@
 #include "src/harness/figure_report.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "src/common/table.h"
 
@@ -14,19 +17,9 @@ std::string PanelName(const std::string& label, double value) {
   return os.str();
 }
 
-}  // namespace
-
-FigureReport::FigureReport(std::string figure_title, std::string panel_label)
-    : title_(std::move(figure_title)), panel_label_(std::move(panel_label)) {}
-
-void FigureReport::Add(const std::string& scheme, double panel_value,
-                       const RunResult& result) {
-  entries_.push_back({scheme, panel_value, result});
-}
-
-std::vector<double> FigureReport::PanelValues() const {
+std::vector<double> PanelValues(const std::vector<ScenarioRecord::Entry>& entries) {
   std::vector<double> values;
-  for (const auto& entry : entries_) {
+  for (const auto& entry : entries) {
     if (std::find(values.begin(), values.end(), entry.panel_value) == values.end()) {
       values.push_back(entry.panel_value);
     }
@@ -34,9 +27,9 @@ std::vector<double> FigureReport::PanelValues() const {
   return values;
 }
 
-std::vector<std::string> FigureReport::Schemes() const {
+std::vector<std::string> Schemes(const std::vector<ScenarioRecord::Entry>& entries) {
   std::vector<std::string> schemes;
-  for (const auto& entry : entries_) {
+  for (const auto& entry : entries) {
     if (std::find(schemes.begin(), schemes.end(), entry.scheme) == schemes.end()) {
       schemes.push_back(entry.scheme);
     }
@@ -44,9 +37,9 @@ std::vector<std::string> FigureReport::Schemes() const {
   return schemes;
 }
 
-std::vector<std::uint32_t> FigureReport::ThreadCounts() const {
+std::vector<std::uint32_t> ThreadCounts(const std::vector<ScenarioRecord::Entry>& entries) {
   std::vector<std::uint32_t> counts;
-  for (const auto& entry : entries_) {
+  for (const auto& entry : entries) {
     if (std::find(counts.begin(), counts.end(), entry.result.threads) == counts.end()) {
       counts.push_back(entry.result.threads);
     }
@@ -55,17 +48,21 @@ std::vector<std::uint32_t> FigureReport::ThreadCounts() const {
   return counts;
 }
 
-std::string FigureReport::Render(bool csv) const {
-  std::ostringstream os;
-  os << "==== " << title_ << " ====\n";
+}  // namespace
 
-  const auto panels = PanelValues();
-  const auto schemes = Schemes();
-  const auto thread_counts = ThreadCounts();
+std::string RenderFigureReport(const ScenarioRecord& record, bool csv) {
+  const std::vector<ScenarioRecord::Entry>& entries = record.entries;
+  const std::string& panel_label = record.manifest.panel_label;
+  std::ostringstream os;
+  os << "==== " << record.manifest.title << " ====\n";
+
+  const auto panels = PanelValues(entries);
+  const auto schemes = Schemes(entries);
+  const auto thread_counts = ThreadCounts(entries);
 
   auto find = [&](const std::string& scheme, double panel,
                   std::uint32_t threads) -> const RunResult* {
-    for (const auto& entry : entries_) {
+    for (const auto& entry : entries) {
       if (entry.scheme == scheme && entry.panel_value == panel &&
           entry.result.threads == threads) {
         return &entry.result;
@@ -81,8 +78,8 @@ std::string FigureReport::Render(bool csv) const {
       for (const auto& scheme : schemes) {
         headers.push_back(scheme);
       }
-      Table time_table(PanelName(panel_label_, panel) + " -- modeled time (ms)", headers);
-      Table wall_table(PanelName(panel_label_, panel) + " -- wall time (ms)", headers);
+      Table time_table(PanelName(panel_label, panel) + " -- modeled time (ms)", headers);
+      Table wall_table(PanelName(panel_label, panel) + " -- wall time (ms)", headers);
       for (const std::uint32_t threads : thread_counts) {
         std::vector<std::string> modeled_row = {std::to_string(threads)};
         std::vector<std::string> wall_row = {std::to_string(threads)};
@@ -107,7 +104,7 @@ std::string FigureReport::Render(bool csv) const {
         headers.push_back(entry.label);
       }
       headers.push_back("total");
-      Table abort_table(PanelName(panel_label_, panel) + " -- aborts (% of attempts)",
+      Table abort_table(PanelName(panel_label, panel) + " -- aborts (% of attempts)",
                         headers);
       for (const auto& scheme : schemes) {
         for (const std::uint32_t threads : thread_counts) {
@@ -135,7 +132,7 @@ std::string FigureReport::Render(bool csv) const {
       for (const CounterView& entry : CommitBreakdown{}.Entries()) {
         headers.push_back(entry.label);
       }
-      Table commit_table(PanelName(panel_label_, panel) + " -- commits (%)", headers);
+      Table commit_table(PanelName(panel_label, panel) + " -- commits (%)", headers);
       for (const auto& scheme : schemes) {
         for (const std::uint32_t threads : thread_counts) {
           const RunResult* result = find(scheme, panel, threads);

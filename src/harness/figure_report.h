@@ -1,49 +1,21 @@
 // Renders the three panels of a paper figure (execution time, abort-rate
-// breakdown, commit-type breakdown) from a grid of benchmark results
-// indexed by (scheme, panel value, thread count). One of the ResultSink
-// implementations (see result_sink.h); the JSON serializer consumes the
-// same runs through JsonResultSink.
+// breakdown, commit-type breakdown) from a scenario record, whose entries
+// are indexed by (scheme, panel value, thread count). The JSON serializer
+// writes the same record (result_serializer.h).
 #ifndef RWLE_SRC_HARNESS_FIGURE_REPORT_H_
 #define RWLE_SRC_HARNESS_FIGURE_REPORT_H_
 
 #include <string>
-#include <vector>
 
-#include "src/harness/bench_harness.h"
-#include "src/harness/result_sink.h"
+#include "src/harness/result_serializer.h"
 
 namespace rwle {
 
-class FigureReport : public ResultSink {
- public:
-  using ResultSink::Add;
-
-  // `panel_label` names the quantity panels sweep over (e.g. "write locks
-  // %"); panels appear in insertion order.
-  FigureReport(std::string figure_title, std::string panel_label);
-
-  void Add(const std::string& scheme, double panel_value,
-           const RunResult& result) override;
-
-  // Renders all panels: per panel value, a time table (modeled + wall
-  // seconds per scheme x thread count), then abort and commit breakdowns.
-  std::string Render(bool csv = false) const;
-
- private:
-  struct Entry {
-    std::string scheme;
-    double panel_value;
-    RunResult result;
-  };
-
-  std::vector<double> PanelValues() const;
-  std::vector<std::string> Schemes() const;
-  std::vector<std::uint32_t> ThreadCounts() const;
-
-  std::string title_;
-  std::string panel_label_;
-  std::vector<Entry> entries_;
-};
+// Renders all panels under the manifest's title: per panel value, a time
+// table (modeled + wall seconds per scheme x thread count), then abort and
+// commit breakdowns. Panels and schemes appear in entry order, each panel
+// labelled with the manifest's panel_label.
+std::string RenderFigureReport(const ScenarioRecord& record, bool csv = false);
 
 }  // namespace rwle
 

@@ -2,7 +2,7 @@
 // driver's output).
 //
 // This is the repo's *wall-clock* performance trajectory, deliberately kept
-// separate from the modeled-time documents JsonResultSink produces: modeled
+// separate from the modeled-time documents result_serializer.h writes: modeled
 // throughput is deterministic and tightly gated, while ns/op numbers are
 // host-dependent and gated loosely (see PERFORMANCE.md). The document shape
 // mirrors the rwle_bench archive so tools/bench_compare.py can gate both:

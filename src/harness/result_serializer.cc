@@ -91,7 +91,7 @@ void WriteLatencyStats(JsonWriter& json, std::string_view key,
 
 // Per-op latency percentiles (modeled nanoseconds), with a per-commit-path
 // breakdown for paths that were actually taken. Omitted entirely when the
-// run recorded no latencies (legacy StatsRegistry-only runs).
+// run recorded no latencies.
 void WriteLatency(JsonWriter& json, const LatencySnapshot& latency) {
   if (latency.op[static_cast<int>(OpKind::kRead)].count == 0 &&
       latency.op[static_cast<int>(OpKind::kWrite)].count == 0) {
@@ -117,7 +117,7 @@ void WriteLatency(JsonWriter& json, const LatencySnapshot& latency) {
   json.EndObject();
 }
 
-void WriteEntry(JsonWriter& json, const JsonResultSink::Entry& entry) {
+void WriteEntry(JsonWriter& json, const ScenarioRecord::Entry& entry) {
   const RunResult& result = entry.result;
   const StatsSnapshot snapshot = result.stats.Snapshot();
   json.BeginObject();
@@ -159,19 +159,19 @@ std::int64_t NowUnixSeconds() {
 }
 
 std::ostream& WriteResultDocument(std::ostream& os,
-                                  const std::vector<const JsonResultSink*>& scenarios) {
+                                  const std::vector<ScenarioRecord>& records) {
   JsonWriter json(os);
   json.BeginObject();
   json.Field("format_version", std::uint64_t{1});
   json.Field("generator", "rwle_bench");
   json.Key("scenarios");
   json.BeginArray();
-  for (const JsonResultSink* scenario : scenarios) {
+  for (const ScenarioRecord& record : records) {
     json.BeginObject();
-    WriteManifest(json, scenario->manifest());
+    WriteManifest(json, record.manifest);
     json.Key("results");
     json.BeginArray();
-    for (const auto& entry : scenario->entries()) {
+    for (const auto& entry : record.entries) {
       WriteEntry(json, entry);
     }
     json.EndArray();
@@ -182,14 +182,13 @@ std::ostream& WriteResultDocument(std::ostream& os,
   return os;
 }
 
-bool WriteResultFile(const std::string& path,
-                     const std::vector<const JsonResultSink*>& scenarios) {
+bool WriteResultFile(const std::string& path, const std::vector<ScenarioRecord>& records) {
   std::ofstream out(path);
   if (!out) {
     std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
     return false;
   }
-  WriteResultDocument(out, scenarios);
+  WriteResultDocument(out, records);
   out.flush();
   if (!out) {
     std::fprintf(stderr, "error writing %s\n", path.c_str());

@@ -1,9 +1,10 @@
-// Machine-readable benchmark results.
+// Benchmark results, in memory and as JSON.
 //
-// JsonResultSink collects every RunResult of one scenario run together with
-// a RunManifest (what was run: scenario, schemes, sweep sizes, HtmConfig,
-// git SHA, timestamp) and serializes them as one "scenario object".
-// WriteResultDocument wraps one or more scenario objects in the versioned
+// A ScenarioRecord holds what one scenario run produced: a RunManifest (what
+// was run: scenario, schemes, sweep sizes, HtmConfig, git SHA, timestamp)
+// and every completed run in run order. The driver renders the figure
+// tables from it (figure_report.h) and serializes it as one "scenario
+// object". WriteResultDocument wraps one or more records in the versioned
 // top-level document consumed by tools/bench_compare.py:
 //
 //   {
@@ -21,7 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "src/harness/result_sink.h"
+#include "src/harness/bench_harness.h"
 #include "src/htm/htm_config.h"
 
 namespace rwle {
@@ -54,41 +55,28 @@ std::string BuildGitSha();
 // Current wall-clock time in unix seconds.
 std::int64_t NowUnixSeconds();
 
-class JsonResultSink : public ResultSink {
- public:
-  using ResultSink::Add;
-
-  explicit JsonResultSink(RunManifest manifest) : manifest_(std::move(manifest)) {}
-
-  void Add(const std::string& scheme, double panel_value,
-           const RunResult& result) override {
-    entries_.push_back({scheme, panel_value, result});
-  }
-
-  const RunManifest& manifest() const { return manifest_; }
-  std::size_t size() const { return entries_.size(); }
-
+// One scenario run: its manifest and one entry per completed run.
+struct ScenarioRecord {
   struct Entry {
     std::string scheme;
-    double panel_value;
+    // The scenario's displayed panel quantity (write-lock percentage for the
+    // figure scenarios).
+    double panel_value = 0.0;
     RunResult result;
   };
-  const std::vector<Entry>& entries() const { return entries_; }
 
- private:
-  RunManifest manifest_;
-  std::vector<Entry> entries_;
+  RunManifest manifest;
+  std::vector<Entry> entries;  // run order
 };
 
-// Writes the versioned top-level document containing `scenarios` (non-null,
-// in order). Returns the stream.
+// Writes the versioned top-level document containing `records`, in order.
+// Returns the stream.
 std::ostream& WriteResultDocument(std::ostream& os,
-                                  const std::vector<const JsonResultSink*>& scenarios);
+                                  const std::vector<ScenarioRecord>& records);
 
-// Convenience: writes the document for `scenarios` to `path`. Returns false
+// Convenience: writes the document for `records` to `path`. Returns false
 // (with a message on stderr) if the file cannot be written.
-bool WriteResultFile(const std::string& path,
-                     const std::vector<const JsonResultSink*>& scenarios);
+bool WriteResultFile(const std::string& path, const std::vector<ScenarioRecord>& records);
 
 }  // namespace rwle
 

@@ -36,8 +36,8 @@ class ElidableLock {
   virtual void Write(FunctionRef fn) = 0;
   virtual StatsRegistry& stats() = 0;
   // The scheme name this lock was constructed under (e.g. "rwle-opt");
-  // result sinks use it to label rows without threading strings alongside
-  // every lock.
+  // benchmark records use it to label rows without threading strings
+  // alongside every lock.
   virtual std::string_view name() const = 0;
   // Modeled per-operation latencies recorded around every Read/Write call.
   virtual LatencyRegistry& latency() = 0;

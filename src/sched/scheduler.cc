@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 
 #include "src/common/check.h"
 
@@ -192,18 +190,6 @@ std::uint64_t ScheduledRunsSeed() {
   // Relaxed: callers check ScheduledRunsEnabled() first; its acquire edge
   // already made this seed visible.
   return g_scheduled_runs_seed.load(std::memory_order_relaxed);
-}
-
-void InitScheduledRunsFromEnv() {
-  static const bool once = [] {
-    const char* env = std::getenv("RWLE_SCHED");
-    if (env != nullptr && std::strcmp(env, "1") == 0) {
-      const char* seed_env = std::getenv("RWLE_SCHED_SEED");
-      EnableScheduledRuns(seed_env != nullptr ? std::strtoull(seed_env, nullptr, 10) : 1);
-    }
-    return true;
-  }();
-  (void)once;
 }
 
 }  // namespace rwle::sched

@@ -121,7 +121,7 @@ class RoundParticipant {
   bool active_;
 };
 
-// Process-wide switch for `rwle_bench --sched` / RWLE_SCHED=1: when on, the
+// Process-wide switch for `rwle_bench --sched`: when on, the
 // bench harness runs every benchmark cell's measured region as a scheduled
 // round under a seeded random strategy (see bench_harness.cc). Not
 // bit-reproducible like rwle_explore litmus rounds -- benchmark threads
@@ -131,9 +131,6 @@ void EnableScheduledRuns(std::uint64_t seed);
 void DisableScheduledRuns();
 bool ScheduledRunsEnabled();
 std::uint64_t ScheduledRunsSeed();
-// Reads RWLE_SCHED=1 from the environment once (same contract as txsan's
-// InitFromEnv); called lazily from the bench harness.
-void InitScheduledRunsFromEnv();
 
 }  // namespace rwle::sched
 

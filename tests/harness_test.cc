@@ -6,10 +6,10 @@
 
 #include <atomic>
 #include <string>
+#include <utility>
 
 #include "src/common/thread_registry.h"
 #include "src/harness/figure_report.h"
-#include "src/harness/result_sink.h"
 #include "src/locks/lock_factory.h"
 #include "src/memory/tx_var.h"
 #include "src/stats/cost_meter.h"
@@ -66,7 +66,7 @@ TEST(BenchHarnessTest, RunsExactlyTotalOps) {
   options.write_ratio = 0.5;
 
   const RunResult result =
-      RunBenchmark(options, lock->stats(), [&](std::uint32_t, Rng&, bool is_write) {
+      RunBenchmark(options, *lock, [&](std::uint32_t, Rng&, bool is_write) {
         executed.fetch_add(1);
         if (is_write) {
           lock->Write([] {});
@@ -91,7 +91,7 @@ TEST(BenchHarnessTest, WriteRatioIsRespected) {
   options.total_ops = 4000;
   options.write_ratio = 0.25;
 
-  RunBenchmark(options, lock->stats(), [&](std::uint32_t, Rng&, bool is_write) {
+  RunBenchmark(options, *lock, [&](std::uint32_t, Rng&, bool is_write) {
     if (is_write) {
       writes.fetch_add(1);
     }
@@ -108,11 +108,11 @@ TEST(BenchHarnessTest, DeterministicOpSequencePerSeed) {
   options.seed = 99;
 
   std::atomic<std::uint64_t> checksum_a{0};
-  RunBenchmark(options, lock->stats(), [&](std::uint32_t, Rng& rng, bool) {
+  RunBenchmark(options, *lock, [&](std::uint32_t, Rng& rng, bool) {
     checksum_a.fetch_add(rng.Next() & 0xFFFF);
   });
   std::atomic<std::uint64_t> checksum_b{0};
-  RunBenchmark(options, lock->stats(), [&](std::uint32_t, Rng& rng, bool) {
+  RunBenchmark(options, *lock, [&](std::uint32_t, Rng& rng, bool) {
     checksum_b.fetch_add(rng.Next() & 0xFFFF);
   });
   EXPECT_EQ(checksum_a.load(), checksum_b.load());
@@ -127,7 +127,7 @@ TEST(BenchHarnessTest, RwLeWorkGetsRealStats) {
   options.write_ratio = 0.2;
 
   const RunResult result =
-      RunBenchmark(options, lock->stats(), [&](std::uint32_t, Rng&, bool is_write) {
+      RunBenchmark(options, *lock, [&](std::uint32_t, Rng&, bool is_write) {
         if (is_write) {
           lock->Write([&] { cell.Store(cell.Load() + 1); });
         } else {
@@ -140,10 +140,9 @@ TEST(BenchHarnessTest, RwLeWorkGetsRealStats) {
   EXPECT_GT(result.cost.parallel, 0u);
 }
 
-// The ElidableLock overload of RunBenchmark snapshots the lock's latency
-// registry into the result (and resets it first, so back-to-back runs do
-// not bleed into each other).
-TEST(BenchHarnessTest, LockOverloadPopulatesLatencyPercentiles) {
+// RunBenchmark snapshots the lock's latency registry into the result (and
+// resets it first, so back-to-back runs do not bleed into each other).
+TEST(BenchHarnessTest, PopulatesLatencyPercentiles) {
   auto lock = MakeLock("rwle-opt");
   TxVar<std::uint64_t> cell(0);
   RunOptions options;
@@ -187,8 +186,16 @@ TEST(BenchHarnessTest, LockOverloadPopulatesLatencyPercentiles) {
             400u);
 }
 
+// A record with just what RenderFigureReport reads from the manifest.
+ScenarioRecord FigureRecord(std::string title, std::string panel_label) {
+  ScenarioRecord record;
+  record.manifest.title = std::move(title);
+  record.manifest.panel_label = std::move(panel_label);
+  return record;
+}
+
 TEST(FigureReportTest, RendersAllPanels) {
-  FigureReport report("Figure X", "write locks %");
+  ScenarioRecord record = FigureRecord("Figure X", "write locks %");
   RunResult result;
   result.threads = 2;
   result.total_ops = 100;
@@ -197,19 +204,19 @@ TEST(FigureReportTest, RendersAllPanels) {
   result.stats.commits[static_cast<int>(CommitPath::kHtm)] = 60;
   result.stats.commits[static_cast<int>(CommitPath::kSerial)] = 40;
   result.stats.aborts[static_cast<int>(AbortCategory::kHtmCapacity)] = 25;
-  report.Add("hle", 10, result);
+  record.entries.push_back({"hle", 10, result});
 
   result.threads = 4;
-  report.Add("hle", 10, result);
-  report.Add("rwle-opt", 10, result);
+  record.entries.push_back({"hle", 10, result});
+  record.entries.push_back({"rwle-opt", 10, result});
 
-  const std::string ascii = report.Render(false);
+  const std::string ascii = RenderFigureReport(record, false);
   EXPECT_NE(ascii.find("Figure X"), std::string::npos);
   EXPECT_NE(ascii.find("modeled time"), std::string::npos);
   EXPECT_NE(ascii.find("HTM capacity"), std::string::npos);
   EXPECT_NE(ascii.find("rwle-opt"), std::string::npos);
 
-  const std::string csv = report.Render(true);
+  const std::string csv = RenderFigureReport(record, true);
   EXPECT_NE(csv.find("threads,hle,rwle-opt"), std::string::npos);
 }
 
@@ -217,7 +224,7 @@ TEST(FigureReportTest, RendersAllPanels) {
 // (scripts scrape the CSV form, and the ASCII form is pasted into reports).
 // If a rendering change is intentional, update the expected strings here.
 TEST(FigureReportTest, GoldenRender) {
-  FigureReport report("Golden Figure", "% write locks");
+  ScenarioRecord record = FigureRecord("Golden Figure", "% write locks");
   RunResult r;
   r.threads = 1;
   r.total_ops = 1000;
@@ -230,18 +237,18 @@ TEST(FigureReportTest, GoldenRender) {
   r.stats.aborts[static_cast<int>(AbortCategory::kHtmTxConflict)] = 50;
   r.stats.aborts[static_cast<int>(AbortCategory::kHtmCapacity)] = 30;
   r.stats.aborts[static_cast<int>(AbortCategory::kRotConflict)] = 20;
-  report.Add("rwle-opt", 10, r);
+  record.entries.push_back({"rwle-opt", 10, r});
   r.threads = 2;
   r.wall_seconds = 0.25;
   r.modeled_seconds = 0.125;
-  report.Add("rwle-opt", 10, r);
+  record.entries.push_back({"rwle-opt", 10, r});
   r.threads = 1;
   r.wall_seconds = 0.75;
   r.modeled_seconds = 0.5;
   r.stats = ThreadStats{};
   r.stats.commits[static_cast<int>(CommitPath::kSerial)] = 1000;
   r.stats.aborts[static_cast<int>(AbortCategory::kHtmNonTx)] = 250;
-  report.Add("hle", 10, r);
+  record.entries.push_back({"hle", 10, r});
 
   const std::string expected_ascii =
       "==== Golden Figure ====\n"
@@ -282,7 +289,7 @@ TEST(FigureReportTest, GoldenRender) {
       "| rwle-opt | 2       | 60.0% | 20.0% | 10.0%  | 10.0%          |\n"
       "| hle      | 1       | 0.0%  | 0.0%  | 100.0% | 0.0%           |\n"
       "+-----------+----------+--------+--------+---------+-----------------+\n";
-  EXPECT_EQ(report.Render(false), expected_ascii);
+  EXPECT_EQ(RenderFigureReport(record, false), expected_ascii);
 
   const std::string expected_csv =
       "==== Golden Figure ====\n"
@@ -305,27 +312,7 @@ TEST(FigureReportTest, GoldenRender) {
       "rwle-opt,1,60.0%,20.0%,10.0%,10.0%\n"
       "rwle-opt,2,60.0%,20.0%,10.0%,10.0%\n"
       "hle,1,0.0%,0.0%,100.0%,0.0%\n";
-  EXPECT_EQ(report.Render(true), expected_csv);
-}
-
-// FigureReport is a ResultSink, so the same run can feed the renderer and
-// the JSON archive through a TeeSink; verify the sink interface broadcast.
-TEST(ResultSinkTest, TeeBroadcastsToAllSinks) {
-  FigureReport report_a("A", "x");
-  FigureReport report_b("B", "x");
-  TeeSink tee;
-  tee.AddSink(&report_a);
-  tee.AddSink(&report_b);
-
-  RunResult result;
-  result.threads = 4;
-  result.total_ops = 10;
-  result.modeled_seconds = 0.001;
-  result.wall_seconds = 0.002;
-  static_cast<ResultSink&>(tee).Add("sgl", 50, result);
-
-  EXPECT_NE(report_a.Render(true).find("4,1.000"), std::string::npos);
-  EXPECT_NE(report_b.Render(true).find("4,1.000"), std::string::npos);
+  EXPECT_EQ(RenderFigureReport(record, true), expected_csv);
 }
 
 TEST(StatsSnapshotTest, SnapshotMirrorsRawCounters) {

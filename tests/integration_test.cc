@@ -183,7 +183,7 @@ TEST_P(HarnessMatrixTest, HashmapBooksBalance) {
   options.total_ops = 900;
   options.write_ratio = 0.3;
   const RunResult result = RunBenchmark(
-      options, lock->stats(),
+      options, *lock,
       [&](std::uint32_t, Rng& rng, bool is_write) { workload.Op(*lock, rng, is_write); });
   EXPECT_EQ(result.stats.TotalCommits(), 900u) << GetParam();
 }
@@ -205,7 +205,7 @@ TEST_P(HarnessMatrixTest, TpccMoneyConserved) {
   options.threads = 3;
   options.total_ops = 600;
   options.write_ratio = 0.5;
-  RunBenchmark(options, lock->stats(), [&](std::uint32_t, Rng& rng, bool is_write) {
+  RunBenchmark(options, *lock, [&](std::uint32_t, Rng& rng, bool is_write) {
     workload.Op(*lock, rng, is_write);
   });
   (void)workload.db().TotalYtdDirect();  // internal warehouse==district check

@@ -369,9 +369,8 @@ RunResult TestResult(std::uint32_t threads) {
 }
 
 TEST(ResultSerializerTest, ManifestRoundTrips) {
-  JsonResultSink sink(TestManifest());
   std::ostringstream os;
-  WriteResultDocument(os, {&sink});
+  WriteResultDocument(os, {ScenarioRecord{TestManifest(), {}}});
 
   auto doc = ParseOrDie(os.str());
   ASSERT_NE(doc, nullptr);
@@ -408,13 +407,12 @@ TEST(ResultSerializerTest, ManifestRoundTrips) {
 }
 
 TEST(ResultSerializerTest, RunResultRoundTrips) {
-  JsonResultSink sink(TestManifest());
-  sink.Add("rwle-opt", 10.0, TestResult(2));
-  sink.Add("hle", 90.0, TestResult(4));
-  ASSERT_EQ(sink.size(), 2u);
+  ScenarioRecord record{TestManifest(), {}};
+  record.entries.push_back({"rwle-opt", 10.0, TestResult(2)});
+  record.entries.push_back({"hle", 90.0, TestResult(4)});
 
   std::ostringstream os;
-  WriteResultDocument(os, {&sink});
+  WriteResultDocument(os, {record});
   auto doc = ParseOrDie(os.str());
   ASSERT_NE(doc, nullptr);
 
@@ -450,9 +448,8 @@ TEST(ResultSerializerTest, EveryHwProfileRoundTripsThroughManifest) {
     manifest.hw_profile = profile.name;
     manifest.htm_config = profile.config;
 
-    JsonResultSink sink(manifest);
     std::ostringstream os;
-    WriteResultDocument(os, {&sink});
+    WriteResultDocument(os, {ScenarioRecord{manifest, {}}});
     auto doc = ParseOrDie(os.str());
     ASSERT_NE(doc, nullptr);
 
@@ -536,11 +533,11 @@ RunResult GoldenFullResult() {
 }
 
 TEST(ResultSerializerTest, MatchesGoldenFile) {
-  JsonResultSink sink(TestManifest());
-  sink.Add("rwle+bravo", 10.0, GoldenFullResult());
-  sink.Add("sgl", 90.0, TestResult(4));
+  ScenarioRecord record{TestManifest(), {}};
+  record.entries.push_back({"rwle+bravo", 10.0, GoldenFullResult()});
+  record.entries.push_back({"sgl", 90.0, TestResult(4)});
   std::ostringstream os;
-  WriteResultDocument(os, {&sink});
+  WriteResultDocument(os, {record});
   const std::string actual = os.str();
   ASSERT_NE(ParseOrDie(actual), nullptr);
 
@@ -566,12 +563,11 @@ TEST(ResultSerializerTest, MultipleScenariosKeepOrder) {
   manifest_a.scenario = "fig3";
   RunManifest manifest_b = TestManifest();
   manifest_b.scenario = "fig9";
-  JsonResultSink sink_a(manifest_a);
-  JsonResultSink sink_b(manifest_b);
-  sink_a.Add("sgl", 1.0, TestResult(1));
+  ScenarioRecord record_a{manifest_a, {}};
+  record_a.entries.push_back({"sgl", 1.0, TestResult(1)});
 
   std::ostringstream os;
-  WriteResultDocument(os, {&sink_a, &sink_b});
+  WriteResultDocument(os, {record_a, ScenarioRecord{manifest_b, {}}});
   auto doc = ParseOrDie(os.str());
   ASSERT_NE(doc, nullptr);
   ASSERT_EQ(doc->At("scenarios").items.size(), 2u);

@@ -1,7 +1,7 @@
 // Registry invariants for the unified benchmark driver: every scenario
 // registers exactly one well-formed spec, registration is idempotent, and
 // a spec's run callable actually drives the full (panel x scheme x thread)
-// grid into the sink it is given.
+// grid into the record it is given.
 #include "bench/scenarios/all_scenarios.h"
 
 #include <gtest/gtest.h>
@@ -103,7 +103,7 @@ int RunBenchMain(const std::string& scenario, const std::string& schemes) {
   for (std::string& arg : args) {
     argv.push_back(arg.data());
   }
-  return BenchMain(static_cast<int>(argv.size()), argv.data(), nullptr);
+  return BenchMain(static_cast<int>(argv.size()), argv.data());
 }
 
 // A --schemes name a selected scenario cannot run fails the whole
@@ -140,28 +140,6 @@ TEST(ScenarioRegistryTest, PagingOnlyOnFig6) {
   }
 }
 
-// A sink that just counts and records cells, to check grid coverage.
-class RecordingSink : public ResultSink {
- public:
-  void Add(const std::string& scheme, double panel_value,
-           const RunResult& result) override {
-    cells_.push_back({scheme, panel_value, result.threads});
-    total_commits_ += result.stats.TotalCommits();
-  }
-
-  struct Cell {
-    std::string scheme;
-    double panel_value;
-    std::uint32_t threads;
-  };
-  const std::vector<Cell>& cells() const { return cells_; }
-  std::uint64_t total_commits() const { return total_commits_; }
-
- private:
-  std::vector<Cell> cells_;
-  std::uint64_t total_commits_ = 0;
-};
-
 TEST(ScenarioRegistryTest, RunDrivesFullGrid) {
   RegisterAllScenarios();
   const ScenarioSpec* spec = ScenarioRegistry::Global().Find("fig5");
@@ -173,24 +151,57 @@ TEST(ScenarioRegistryTest, RunDrivesFullGrid) {
   options.seed = 7;
   const std::vector<std::string> schemes = {"sgl", "rwle-opt"};
 
-  RecordingSink sink;
-  spec->run(*spec, options, schemes, sink);
+  ScenarioRecord record;
+  spec->run(*spec, options, schemes, record);
 
   // panels x schemes x thread counts, scheme-major within each panel.
   const std::size_t expected =
       spec->panel_values.size() * schemes.size() * options.thread_counts.size();
-  ASSERT_EQ(sink.cells().size(), expected);
+  ASSERT_EQ(record.entries.size(), expected);
   // Every run executes exactly total_ops critical sections.
-  EXPECT_EQ(sink.total_commits(), expected * options.total_ops);
+  std::uint64_t total_commits = 0;
+  for (const auto& entry : record.entries) {
+    total_commits += entry.result.stats.TotalCommits();
+  }
+  EXPECT_EQ(total_commits, expected * options.total_ops);
 
-  const auto& first = sink.cells()[0];
+  const auto& first = record.entries[0];
   EXPECT_EQ(first.scheme, "sgl");
   EXPECT_EQ(first.panel_value, spec->panel_values[0] * 100.0);
-  EXPECT_EQ(first.threads, 1u);
-  const auto& last = sink.cells().back();
+  EXPECT_EQ(first.result.threads, 1u);
+  const auto& last = record.entries.back();
   EXPECT_EQ(last.scheme, "rwle-opt");
   EXPECT_EQ(last.panel_value, spec->panel_values.back() * 100.0);
-  EXPECT_EQ(last.threads, 2u);
+  EXPECT_EQ(last.result.threads, 2u);
+}
+
+// Every cell starts from a fresh lock: two cells that differ only in their
+// place in the sweep must record the same run. A BRAVO lock reused from the
+// previous cell would start biased, with an inhibit-until stamp on a cost
+// clock the new run has reset, and record no fast reads at all.
+TEST(ScenarioRegistryTest, RepeatedCellsStartFromFreshLocks) {
+  RegisterAllScenarios();
+  const ScenarioSpec* spec = ScenarioRegistry::Global().Find("fallback");
+  ASSERT_NE(spec, nullptr);
+
+  BenchOptions options;
+  options.thread_counts = {1, 1};
+  options.total_ops = 4000;
+  options.seed = 42;
+  ScenarioRecord record;
+  spec->run(*spec, options, {"bravo"}, record);
+
+  ASSERT_EQ(record.entries.size(), spec->panel_values.size() * 2);
+  for (std::size_t i = 0; i < record.entries.size(); i += 2) {
+    const RunResult& first = record.entries[i].result;
+    const RunResult& second = record.entries[i + 1].result;
+    SCOPED_TRACE(record.entries[i].panel_value);
+    EXPECT_EQ(first.modeled_seconds, second.modeled_seconds);
+    for (int counter = 0; counter < kBravoCounterCount; ++counter) {
+      EXPECT_EQ(first.stats.bravo[counter], second.stats.bravo[counter])
+          << BravoCounterKey(static_cast<BravoCounter>(counter));
+    }
+  }
 }
 
 // The portability sweep's panel axis must mirror the --hw profile table
@@ -209,26 +220,6 @@ TEST(ScenarioRegistryTest, PortabilityPanelsMirrorProfileTable) {
             (std::vector<std::string>{"hle", "rwle"}));
 }
 
-// A sink that additionally keeps each run's portability block, to check the
-// sweep stamps the profile it actually configured.
-class PortabilitySink : public ResultSink {
- public:
-  void Add(const std::string& scheme, double panel_value,
-           const RunResult& result) override {
-    cells_.push_back({scheme, panel_value, result.portability});
-  }
-
-  struct Cell {
-    std::string scheme;
-    double panel_value;
-    PortabilitySnapshot portability;
-  };
-  const std::vector<Cell>& cells() const { return cells_; }
-
- private:
-  std::vector<Cell> cells_;
-};
-
 TEST(ScenarioRegistryTest, PortabilityRunStampsProfilesAndRestoresConfig) {
   RegisterAllScenarios();
   const ScenarioSpec* spec = ScenarioRegistry::Global().Find("portability");
@@ -241,27 +232,28 @@ TEST(ScenarioRegistryTest, PortabilityRunStampsProfilesAndRestoresConfig) {
   options.seed = 11;
   const std::vector<std::string> schemes = {"hle", "rwle"};
 
-  PortabilitySink sink;
-  spec->run(*spec, options, schemes, sink);
+  ScenarioRecord record;
+  spec->run(*spec, options, schemes, record);
 
   const auto& profiles = AllHwProfiles();
-  ASSERT_EQ(sink.cells().size(), profiles.size() * schemes.size());
-  for (std::size_t i = 0; i < sink.cells().size(); ++i) {
-    const auto& cell = sink.cells()[i];
-    SCOPED_TRACE(cell.scheme + "@" + cell.portability.hw_profile);
+  ASSERT_EQ(record.entries.size(), profiles.size() * schemes.size());
+  for (std::size_t i = 0; i < record.entries.size(); ++i) {
+    const auto& cell = record.entries[i];
+    const PortabilitySnapshot& portability = cell.result.portability;
+    SCOPED_TRACE(cell.scheme + "@" + portability.hw_profile);
     // Panel-major, scheme-minor, and the stamped profile name must be the
     // table entry the panel index selects.
     const auto panel = static_cast<std::size_t>(cell.panel_value);
     EXPECT_EQ(panel, i / schemes.size());
     EXPECT_EQ(cell.scheme, schemes[i % schemes.size()]);
     ASSERT_LT(panel, profiles.size());
-    EXPECT_EQ(cell.portability.hw_profile, profiles[panel].name);
+    EXPECT_EQ(portability.hw_profile, profiles[panel].name);
     // The deterministic safety rows: full tracking never lets a torn scan
     // commit on power8, and rwle's quiescence protects its readers on every
     // profile. The other cells' counters are interleaving-dependent and are
     // deliberately not asserted here.
-    if (cell.portability.hw_profile == "power8" || cell.scheme == "rwle") {
-      EXPECT_EQ(cell.portability.torn_committed, 0u);
+    if (portability.hw_profile == "power8" || cell.scheme == "rwle") {
+      EXPECT_EQ(portability.torn_committed, 0u);
     }
   }
   // The sweep mutates the global TM model per cell and must put it back.
