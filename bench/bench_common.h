@@ -45,9 +45,6 @@ struct BenchOptions {
   // nanoseconds; 0 lets the scenario pick its documented defaults.
   std::uint64_t slo_p99_ns = 0;
   std::uint64_t slo_p999_ns = 0;
-  // Non-null when the driver got --trace=FILE: locks are constructed with
-  // this sink, and RunCell labels a new trace run per benchmark cell.
-  MemoryTraceSink* trace = nullptr;
 };
 
 // Turns on the txsan oracle for a --analysis run. Returns false (with a
@@ -80,12 +77,13 @@ inline std::uint64_t FinishAnalysis(const BenchOptions& options) {
 #endif
 }
 
-// A lock-factory lock for `scheme` that emits to the --trace sink, if any.
-inline std::unique_ptr<ElidableLock> MakeBenchLock(const std::string& scheme,
-                                                   const BenchOptions& options,
-                                                   LockOptions lock_options = {}) {
-  lock_options.trace_sink = options.trace;
-  return MakeLock(scheme, lock_options);
+// Starts a new labelled run in the --trace timeline: events emitted from
+// here on belong to it. No-op while tracing is off.
+inline void BeginTraceRun(const std::string& label, double panel_value,
+                          std::uint32_t threads) {
+  if (MemoryTraceSink* sink = ActiveTraceSink()) {
+    sink->BeginRun(label, panel_value, threads);
+  }
 }
 
 // Appends one completed run to `record` and reports it on stderr (never on
@@ -142,9 +140,7 @@ RunResult& RunCell(const BenchOptions& options, const Cell& cell, ScenarioRecord
   run.total_ops = options.total_ops;
   run.write_ratio = cell.write_ratio;
   run.seed = DeriveCellSeed(options.seed, cell.threads);
-  if (options.trace != nullptr) {
-    options.trace->BeginRun(cell.trace_run, cell.panel_value, cell.threads);
-  }
+  BeginTraceRun(cell.trace_run, cell.panel_value, cell.threads);
   RunResult result =
       RunBenchmark(run, *lock, [&](std::uint32_t thread, Rng& rng, bool is_write) {
         op(*workload, *lock, thread, rng, is_write);

@@ -252,9 +252,9 @@ void QuiescenceScan(std::uint64_t ops) {
 // stamping, lock-free ring push (wraps and overwrites once full).
 void TraceRingAppend(std::uint64_t ops) {
   static MemoryTraceSink sink;
+  const ScopedTraceSink tracing(sink);
   for (std::uint64_t i = 0; i < ops; ++i) {
-    EmitTraceEvent(&sink, TraceEventType::kTxBegin, /*detail_a=*/0, /*detail_b=*/0,
-                   /*arg=*/i);
+    EmitTraceEvent(TraceEventType::kTxBegin, /*detail_a=*/0, /*detail_b=*/0, /*arg=*/i);
   }
 }
 

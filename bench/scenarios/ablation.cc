@@ -69,11 +69,7 @@ void RunAblation(const ScenarioSpec& spec, const BenchOptions& options,
         const auto ablation =
             std::find_if(cases.begin(), cases.end(),
                          [&](const AblationCase& c) { return c.name == name; });
-        RwLePolicy policy = ablation->policy;
-        policy.trace_sink = options.trace;
-        auto lock = std::make_unique<LockAdapter<RwLeLock>>(name, policy);
-        lock->set_trace_sink(options.trace);
-        return lock;
+        return std::make_unique<LockAdapter<RwLeLock>>(name, ablation->policy);
       },
       HashMapScenario::HighCapacityHighContention());
 }

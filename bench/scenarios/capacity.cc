@@ -111,20 +111,13 @@ void RunChoppedCell(const BenchOptions& options, const Cell& cell, std::size_t f
   // Disjoint stripes satisfy the chopping precondition, so chains may run
   // concurrently (the serialized default would forfeit writer scaling).
   chop_policy.serialize_chains = false;
-  chop_policy.trace_sink = options.trace;
   RunCell(
       options, cell, record,
-      [&] {
-        RwLePolicy policy;
-        policy.trace_sink = options.trace;
-        // Reads go through the adapter (timed, so the JSON latency block
-        // covers them); chopped writes drive the underlying lock directly, so
-        // write latencies are not sampled for this scheme -- throughput and
-        // the chop stats block are unaffected.
-        auto adapter = std::make_unique<LockAdapter<RwLeLock>>("rwle-chop", policy);
-        adapter->set_trace_sink(options.trace);
-        return adapter;
-      },
+      // Reads go through the adapter (timed, so the JSON latency block covers
+      // them); chopped writes drive the underlying lock directly, so write
+      // latencies are not sampled for this scheme -- throughput and the chop
+      // stats block are unaffected.
+      [] { return std::make_unique<LockAdapter<RwLeLock>>("rwle-chop"); },
       [&](LockAdapter<RwLeLock>& adapter) {
         return std::make_unique<ChoppedStripes>(adapter.lock(), chop_policy, cell.threads,
                                                 footprint);
@@ -158,7 +151,7 @@ void RunCapacitySweep(const ScenarioSpec& spec, const BenchOptions& options,
           continue;
         }
         RunCell(
-            options, cell, record, [&] { return MakeBenchLock(scheme, options); },
+            options, cell, record, [&] { return MakeLock(scheme); },
             [&](ElidableLock&) { return std::make_unique<StripeTable>(threads, footprint); },
             [&](StripeTable& table, ElidableLock& lock, std::uint32_t tid, Rng&,
                 bool is_write) {

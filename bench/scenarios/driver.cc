@@ -1,5 +1,6 @@
 #include "bench/scenarios/driver.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -192,8 +193,12 @@ int BenchMain(int argc, char** argv) {
   options.thread_counts =
       ParseUintList(full && threads == default_threads ? full_threads : threads,
                     &threads_ok);
-  if (!threads_ok || options.thread_counts.empty()) {
-    std::fprintf(stderr, "bad --threads list\n%s", flags.Usage().c_str());
+  const bool threads_in_range =
+      std::all_of(options.thread_counts.begin(), options.thread_counts.end(),
+                  [](std::uint32_t count) { return count >= 1 && count <= kMaxThreads; });
+  if (!threads_ok || options.thread_counts.empty() || !threads_in_range) {
+    std::fprintf(stderr, "bad --threads list (each count must be 1..%u)\n%s", kMaxThreads,
+                 flags.Usage().c_str());
     return 1;
   }
   options.total_ops = ops;  // resolved per scenario below
@@ -216,15 +221,6 @@ int BenchMain(int argc, char** argv) {
                  "--sched requires a scheduler build (cmake -DRWLE_SCHED=ON)\n");
     return 1;
 #endif
-  }
-
-  // Tracing: one sink for the whole invocation; the HTM runtime's pointer
-  // turns the transaction-level emit sites on, scenario code labels runs.
-  std::unique_ptr<MemoryTraceSink> trace_sink;
-  if (!trace_path.empty()) {
-    trace_sink = std::make_unique<MemoryTraceSink>();
-    HtmRuntime::Global().set_trace_sink(trace_sink.get());
-    options.trace = trace_sink.get();
   }
 
   std::vector<std::string> selected;
@@ -259,6 +255,14 @@ int BenchMain(int argc, char** argv) {
         return 1;
       }
     }
+  }
+
+  // Tracing: one process-wide sink for the whole invocation, installed once
+  // no early return can follow; scenario code labels the runs.
+  std::unique_ptr<MemoryTraceSink> trace_sink;
+  if (!trace_path.empty()) {
+    trace_sink = std::make_unique<MemoryTraceSink>();
+    SetTraceSink(trace_sink.get());
   }
 
   std::vector<ScenarioRecord> records;
@@ -299,7 +303,7 @@ int BenchMain(int argc, char** argv) {
   bool io_ok = json_path.empty() || WriteResultFile(json_path, records);
 
   if (trace_sink != nullptr) {
-    HtmRuntime::Global().set_trace_sink(nullptr);
+    SetTraceSink(nullptr);
     io_ok = WriteChromeTraceFile(trace_path, *trace_sink) && io_ok;
   }
 

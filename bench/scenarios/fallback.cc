@@ -35,7 +35,7 @@ void RunFallbackSweep(const ScenarioSpec& spec, const BenchOptions& options,
   lock_options.max_rot_retries = 0;
   RunFigureGrid<HashMapWorkload>(
       spec, options, schemes, record,
-      [&](const std::string& scheme) { return MakeBenchLock(scheme, options, lock_options); },
+      [&](const std::string& scheme) { return MakeLock(scheme, lock_options); },
       HashMapScenario{kFallbackBuckets, kFallbackPerBucket});
 }
 

@@ -170,7 +170,7 @@ void RunPortabilitySweep(const ScenarioSpec& spec, const BenchOptions& options,
         RunResult& result = RunCell(
             options,
             {scheme + "@" + profile.name, static_cast<double>(index), kWriteRatio, threads},
-            record, [&] { return MakeBenchLock(scheme, options); },
+            record, [&] { return MakeLock(scheme); },
             [](ElidableLock&) { return std::make_unique<PairTable>(); },
             [&](PairTable& table, ElidableLock& lock, std::uint32_t, Rng& rng,
                 bool is_write) {

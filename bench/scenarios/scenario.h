@@ -99,7 +99,7 @@ ScenarioRunFn MakeGridRunner(Args... args) {
                    const std::vector<std::string>& schemes, ScenarioRecord& record) {
     RunFigureGrid<Workload>(
         spec, options, schemes, record,
-        [&](const std::string& scheme) { return MakeBenchLock(scheme, options); },
+        [](const std::string& scheme) { return MakeLock(scheme); },
         args...);
   };
 }

@@ -77,13 +77,16 @@ void RunServiceSweep(const ScenarioSpec& spec, const BenchOptions& options,
     // equal relative stress.
     double capacity_ops = 0.0;
     {
-      auto lock = MakeBenchLock(scheme, options);
+      auto lock = MakeLock(scheme);
       auto workload = std::make_unique<ZipfHashMapWorkload>();
       RunOptions calibration;
       calibration.threads = 1;
       calibration.total_ops = std::min<std::uint64_t>(options.total_ops, 4000);
       calibration.write_ratio = kServiceWriteRatio;
       calibration.seed = DeriveCellSeed(options.seed, 0);
+      // Its own trace run: the cost clocks restart here, so sharing a run
+      // with a load panel would put two timelines on one lane.
+      BeginTraceRun(scheme + " calibration", 0.0, calibration.threads);
       const RunResult result =
           RunBenchmark(calibration, *lock, [&](std::uint32_t, Rng& rng, bool is_write) {
             workload->Op(*lock, rng, is_write);
@@ -95,7 +98,7 @@ void RunServiceSweep(const ScenarioSpec& spec, const BenchOptions& options,
 
     for (const double load : spec.panel_values) {
       const double panel = load * 100.0;  // displayed as % of capacity
-      auto lock = MakeBenchLock(scheme, options);
+      auto lock = MakeLock(scheme);
       auto workload = std::make_unique<ZipfHashMapWorkload>();
       ServiceRunOptions run;
       run.threads = pool;
@@ -105,9 +108,7 @@ void RunServiceSweep(const ScenarioSpec& spec, const BenchOptions& options,
       run.seed = DeriveCellSeed(options.seed, static_cast<std::uint32_t>(panel));
       run.slo_p99_ns = slo_p99;
       run.slo_p999_ns = slo_p999;
-      if (options.trace != nullptr) {
-        options.trace->BeginRun(scheme, panel, pool);
-      }
+      BeginTraceRun(scheme, panel, pool);
       AddRun(record, lock->name(), panel,
              RunServiceBenchmark(run, *lock, [&](std::uint32_t, Rng& rng, bool is_write) {
                workload->Op(*lock, rng, is_write);

@@ -4,7 +4,7 @@
 #include "src/common/sched_hooks.h"
 #include "src/htm/htm_runtime.h"
 #include "src/stats/cost_meter.h"
-#include "src/trace/trace_event.h"
+#include "src/trace/trace_sink.h"
 
 namespace rwle {
 namespace {
@@ -112,7 +112,7 @@ void ChoppedSection::PublishChain(std::uint32_t slot, std::uint64_t token,
     runtime.CellStore(entry.cell, entry.value);
   }
   runtime.EndChain(/*committed=*/true);
-  EmitTraceEvent(runtime.trace_sink(), slot, TraceEventType::kChopChainCommit,
+  EmitTraceEvent(slot, TraceEventType::kChopChainCommit,
                  static_cast<std::uint8_t>(pieces), 0, carryover.size());
   carryover.Clear();
   lock_.ReleaseNsPath(held);
@@ -210,7 +210,7 @@ void ChoppedSection::WriteImpl(std::size_t piece_count, PieceRef piece) {
       // Abort-of-piece => unwind-of-chain: discard the carryover and
       // restart from piece 0, or give up and go serial.
       stats.RecordChop(ChopCounter::kChainUnwind);
-      EmitTraceEvent(runtime.trace_sink(), slot, TraceEventType::kChopChainUnwind, 0,
+      EmitTraceEvent(slot, TraceEventType::kChopChainUnwind, 0,
                      static_cast<std::uint8_t>(unwind_cause));
       runtime.EndChain(/*committed=*/false);
       chain_open = false;

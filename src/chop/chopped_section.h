@@ -56,7 +56,6 @@
 #include "src/common/thread_registry.h"
 #include "src/htm/tx_write_set.h"
 #include "src/rwle/rwle_lock.h"
-#include "src/trace/trace_sink.h"
 
 namespace rwle {
 
@@ -68,10 +67,6 @@ struct ChopPolicy {
   // See the header comment: hold the chain token (sound default) vs run
   // chains concurrently under the chopping precondition.
   bool serialize_chains = true;
-  // Trace destination for chain-level events (begin/unwind/commit emit
-  // through the HTM runtime's sink; this one carries the section-level
-  // NS-fallback transition). Null = off; not owned.
-  TraceSink* trace_sink = nullptr;
 };
 
 class ChoppedSection {

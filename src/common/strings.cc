@@ -1,6 +1,7 @@
 #include "src/common/strings.h"
 
 #include <cstdlib>
+#include <limits>
 
 namespace rwle {
 
@@ -29,7 +30,8 @@ std::vector<std::uint32_t> ParseUintList(const std::string& input, bool* ok) {
   for (const auto& token : SplitCommaList(input)) {
     char* end = nullptr;
     const unsigned long value = std::strtoul(token.c_str(), &end, 10);
-    if (end == token.c_str() || *end != '\0') {
+    if (end == token.c_str() || *end != '\0' ||
+        value > std::numeric_limits<std::uint32_t>::max()) {
       if (ok != nullptr) {
         *ok = false;
       }

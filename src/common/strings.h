@@ -12,7 +12,8 @@ namespace rwle {
 std::vector<std::string> SplitCommaList(const std::string& input);
 
 // Parses a comma-separated list of non-negative integers; returns an empty
-// vector (and sets *ok=false if provided) on any malformed token.
+// vector (and sets *ok=false if provided) on any malformed token, including
+// one that does not fit in 32 bits.
 std::vector<std::uint32_t> ParseUintList(const std::string& input, bool* ok = nullptr);
 
 }  // namespace rwle

@@ -60,7 +60,6 @@ void HtmRuntime::TxBegin(TxKind kind) {
   RWLE_DCHECK(ctx->write_buffer_.empty());
   RWLE_DCHECK(ctx->owned_line_indices_.empty());
   RWLE_DCHECK(ctx->read_line_indices_.empty());
-  ctx->counters_.begins[static_cast<int>(kind)]++;
   CostMeter::Global().ChargeAt(ctx->thread_slot_, CostModel::kTxBegin);
   // Same epoch, ACTIVE phase. Plain store is safe: nobody dooms an IDLE
   // context (TryDoomOwner requires an epoch-matching ACTIVE/SUSPENDED
@@ -73,8 +72,7 @@ void HtmRuntime::TxBegin(TxKind kind) {
   ctx->status_.store(PackStatus(StatusEpoch(status), AbortCause::kNone, TxPhase::kActive),
                      std::memory_order_release);
   RWLE_TXSAN_HOOK(*this, OnTxBegin(ctx->thread_slot_, kind));
-  EmitTraceEvent(trace_sink(), ctx->thread_slot_, TraceEventType::kTxBegin,
-                 static_cast<std::uint8_t>(kind));
+  EmitTraceEvent(ctx->thread_slot_, TraceEventType::kTxBegin, static_cast<std::uint8_t>(kind));
 }
 
 void HtmRuntime::TxCommit() {
@@ -131,10 +129,9 @@ void HtmRuntime::TxCommit() {
   }
 
   ReleaseFootprint(*ctx, epoch);
-  ctx->counters_.commits[static_cast<int>(ctx->kind_)]++;
   CostMeter::Global().ChargeAt(ctx->thread_slot_, CostModel::kTxCommit);
   RWLE_TXSAN_HOOK(*this, OnTxCommitted(ctx->thread_slot_, ctx->kind_));
-  EmitTraceEvent(trace_sink(), ctx->thread_slot_, TraceEventType::kTxCommit,
+  EmitTraceEvent(ctx->thread_slot_, TraceEventType::kTxCommit,
                  static_cast<std::uint8_t>(ctx->kind_));
   // Publishes "write-back done" to anyone spinning in WaitWhileCommitting:
   // release orders the buffered cell stores and footprint clears before the
@@ -157,7 +154,7 @@ void HtmRuntime::BeginChain(const TxWriteSet* carryover) {
   // no cross-thread ordering hangs off this count.
   live_chains_.fetch_add(1, std::memory_order_relaxed);
   RWLE_TXSAN_HOOK(*this, OnChainBegin(ctx->thread_slot_));
-  EmitTraceEvent(trace_sink(), ctx->thread_slot_, TraceEventType::kChopChainBegin);
+  EmitTraceEvent(ctx->thread_slot_, TraceEventType::kChopChainBegin);
 }
 
 void HtmRuntime::EndChain(bool committed) {
@@ -212,13 +209,12 @@ void HtmRuntime::TxCommitChained(TxWriteSet& carryover) {
   }
 
   ReleaseFootprint(*ctx, epoch);
-  ctx->counters_.commits[static_cast<int>(ctx->kind_)]++;
   CostMeter::Global().ChargeAt(ctx->thread_slot_, CostModel::kTxCommit);
   // OnChainCapture, not OnTxCommitted: the piece deliberately violates the
   // committed-transaction contract (no entry was written back), so txsan
   // mirrors the buffer into its chain shadow instead of checking write-back.
   RWLE_TXSAN_HOOK(*this, OnChainCapture(ctx->thread_slot_));
-  EmitTraceEvent(trace_sink(), ctx->thread_slot_, TraceEventType::kChopPieceCommit,
+  EmitTraceEvent(ctx->thread_slot_, TraceEventType::kChopPieceCommit,
                  static_cast<std::uint8_t>(ctx->kind_), 0, carryover.size());
   // Footprint is clear: advance the epoch and go idle, release-ordered for
   // the same reason as TxCommit's epoch advance.
@@ -284,7 +280,7 @@ void HtmRuntime::TxSuspend() {
   }
 #endif
   RWLE_TXSAN_HOOK(*this, OnTxSuspend(ctx->thread_slot_));
-  EmitTraceEvent(trace_sink(), ctx->thread_slot_, TraceEventType::kTxSuspend,
+  EmitTraceEvent(ctx->thread_slot_, TraceEventType::kTxSuspend,
                  static_cast<std::uint8_t>(ctx->kind_));
 }
 
@@ -300,7 +296,7 @@ void HtmRuntime::TxResume() {
     RWLE_CHECK(StatusPhase(expected) == TxPhase::kDoomed);
   }
   RWLE_TXSAN_HOOK(*this, OnTxResume(ctx->thread_slot_));
-  EmitTraceEvent(trace_sink(), ctx->thread_slot_, TraceEventType::kTxResume,
+  EmitTraceEvent(ctx->thread_slot_, TraceEventType::kTxResume,
                  static_cast<std::uint8_t>(ctx->kind_));
 }
 
@@ -335,10 +331,9 @@ AbortCause HtmRuntime::FinishAbort(TxContext& ctx) {
 #endif
 
   ReleaseFootprint(ctx, epoch);
-  ctx.counters_.aborts[static_cast<int>(ctx.kind_)][static_cast<int>(cause)]++;
   CostMeter::Global().ChargeAt(ctx.thread_slot_, CostModel::kTxAbort);
   RWLE_TXSAN_HOOK(*this, OnTxAborted(ctx.thread_slot_, ctx.kind_, cause));
-  EmitTraceEvent(trace_sink(), ctx.thread_slot_, TraceEventType::kTxAbort,
+  EmitTraceEvent(ctx.thread_slot_, TraceEventType::kTxAbort,
                  static_cast<std::uint8_t>(ctx.kind_), static_cast<std::uint8_t>(cause));
   // Footprint is clear: safe to advance the epoch and go idle. Release for
   // the same reason as the commit-side epoch advance: the footprint-release

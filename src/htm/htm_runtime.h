@@ -42,8 +42,6 @@
 
 namespace rwle {
 
-class TraceSink;
-
 // Implemented by the paging model (src/memory/paging_model.h). Called on
 // every fabric access; returns true if the access incurred a page fault /
 // interrupt, which dooms any in-flight transaction of the calling thread.
@@ -198,21 +196,6 @@ class HtmRuntime {
     // seen fully constructed.
     return analysis_observer_.load(std::memory_order_acquire);
   }
-
-  // --- Tracing (src/trace) ----------------------------------------------
-  //
-  // Null (the default) disables tracing: every emit site reduces to one
-  // pointer test. Set/cleared by the driver while no transaction is in
-  // flight; relaxed loads suffice because workers only start after the
-  // store (thread creation synchronizes).
-  void set_trace_sink(TraceSink* sink) {
-    // Release: orders the sink's construction before the pointer becomes
-    // visible (belt-and-braces; thread creation already synchronizes).
-    trace_sink_.store(sink, std::memory_order_release);
-  }
-  // Relaxed: see block comment above -- workers start after the store, so
-  // thread creation provides the happens-before edge.
-  TraceSink* trace_sink() const { return trace_sink_.load(std::memory_order_relaxed); }
 
 #ifdef RWLE_ANALYSIS
   // Test-only semantic-bug injection used by the txsan self-tests: each flag
@@ -387,7 +370,6 @@ class HtmRuntime {
   std::atomic<std::uint32_t> live_chains_{0};
   InterruptSource* interrupt_source_ = nullptr;
   std::atomic<FabricObserver*> analysis_observer_{nullptr};
-  std::atomic<TraceSink*> trace_sink_{nullptr};
 #ifdef RWLE_ANALYSIS
   FaultInjection fault_injection_;
 #endif

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/cpu.h"
 #include "src/htm/abort.h"
 #include "src/htm/conflict_table.h"
 #include "src/htm/tx_write_set.h"
@@ -48,19 +49,12 @@ constexpr AbortCause StatusCause(std::uint64_t status) {
 
 constexpr std::uint64_t StatusEpoch(std::uint64_t status) { return status >> 16; }
 
-// Counters a context keeps about its own transactions. Only the owning
-// thread writes them; reporting code reads them between runs.
-struct TxContextCounters {
-  std::uint64_t begins[2] = {0, 0};   // indexed by TxKind
-  std::uint64_t commits[2] = {0, 0};  // indexed by TxKind
-  std::uint64_t aborts[2][8] = {};    // [TxKind][AbortCause]
-
-  void Reset() { *this = TxContextCounters{}; }
-};
-
 class HtmRuntime;
 
-class TxContext {
+// Each context starts on its own host line: the owner writes its access
+// counter, write buffer and set logs on every fabric access while other
+// threads CAS status_ to doom it, so packed neighbours would false-share.
+class alignas(kHostLineBytes) TxContext {
  public:
   TxContext() = default;
   TxContext(const TxContext&) = delete;
@@ -84,9 +78,6 @@ class TxContext {
   OwnerToken CurrentToken() const {
     return MakeOwnerToken(thread_slot_, StatusEpoch(status_.load()));
   }
-
-  const TxContextCounters& counters() const { return counters_; }
-  void ResetCounters() { counters_.Reset(); }
 
   // Cross-thread doom attempt against the exact status snapshot `expected`
   // (which must have phase ACTIVE or SUSPENDED). Returns true if this call
@@ -148,8 +139,6 @@ class TxContext {
   // set (see tests/set_log_test.cc).
   std::vector<std::uint32_t> owned_line_indices_;
   std::vector<std::uint32_t> read_line_indices_;
-
-  TxContextCounters counters_;
 };
 
 }  // namespace rwle

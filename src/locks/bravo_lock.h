@@ -63,8 +63,6 @@ class BravoLock {
     // Start with the bias armed? Read-mostly deployments (and the litmus
     // workloads, which need the revocation path on the first write) say yes.
     bool bias_initially = true;
-    // Destination for bias-arm / revocation trace events. Not owned.
-    TraceSink* trace_sink = nullptr;
   };
 
   BravoLock() : BravoLock(Options()) {}
@@ -151,7 +149,7 @@ class BravoLock {
                              inhibit_until_.load(std::memory_order_relaxed)) {
       bias_.store(true);
       stats_.RecordBravo(BravoCounter::kBiasArm);
-      EmitTraceEvent(options_.trace_sink, slot, TraceEventType::kBravoBiasArm);
+      EmitTraceEvent(slot, TraceEventType::kBravoBiasArm);
     }
   }
 
@@ -169,7 +167,7 @@ class BravoLock {
 
   // Bias revocation: runs with the underlay held exclusively.
   void Revoke(std::uint32_t slot) {
-    EmitTraceEvent(options_.trace_sink, slot, TraceEventType::kBravoRevokeBegin);
+    EmitTraceEvent(slot, TraceEventType::kBravoRevokeBegin);
     const std::uint64_t start_cycles = CostMeter::Global().SlotCycles(slot);
     // Clear first, then scan (see the file comment's ordering argument).
     bias_.store(false);
@@ -202,8 +200,7 @@ class BravoLock {
         std::memory_order_relaxed);
     stats_.RecordBravo(BravoCounter::kRevocation);
     stats_.RecordBravo(BravoCounter::kRevokedReader, drained);
-    EmitTraceEvent(options_.trace_sink, slot, TraceEventType::kBravoRevokeEnd, 0, 0,
-                   drained);
+    EmitTraceEvent(slot, TraceEventType::kBravoRevokeEnd, 0, 0, drained);
   }
 
   // --- Centralized underlay: the counter rw-lock protocol of

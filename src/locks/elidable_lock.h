@@ -8,8 +8,8 @@
 // Read/Write in modeled cycles, attributes the operation to the commit path
 // it took (by diffing the calling thread's commit counters around the call),
 // and records the latency into its LatencyRegistry -- that is where the
-// p50/p99 blocks in the JSON results come from. A TraceSink, when set,
-// additionally gets one kOpEnd event per operation.
+// p50/p99 blocks in the JSON results come from. While tracing is on, each
+// operation also emits one kOpEnd event to the process sink.
 #ifndef RWLE_SRC_LOCKS_ELIDABLE_LOCK_H_
 #define RWLE_SRC_LOCKS_ELIDABLE_LOCK_H_
 
@@ -56,10 +56,6 @@ class LockAdapter final : public ElidableLock {
   std::string_view name() const override { return name_; }
   LatencyRegistry& latency() override { return latency_; }
 
-  // Destination for kOpEnd events; null (the default) emits nothing.
-  // Latencies are recorded into latency() regardless.
-  void set_trace_sink(TraceSink* sink) { trace_sink_ = sink; }
-
   Lock& lock() { return lock_; }
 
  private:
@@ -83,7 +79,7 @@ class LockAdapter final : public ElidableLock {
       return;  // nested section: the outer operation accounts for it
     }
     latency_.Record(slot, op, path, cycles);
-    EmitTraceEvent(trace_sink_, TraceEventType::kOpEnd, static_cast<std::uint8_t>(op),
+    EmitTraceEvent(TraceEventType::kOpEnd, static_cast<std::uint8_t>(op),
                    static_cast<std::uint8_t>(path), cycles);
   }
 
@@ -117,7 +113,6 @@ class LockAdapter final : public ElidableLock {
   std::string name_;
   Lock lock_;
   LatencyRegistry latency_;
-  TraceSink* trace_sink_ = nullptr;
 };
 
 }  // namespace rwle

@@ -22,8 +22,7 @@ namespace rwle {
 
 class HleLock {
  public:
-  explicit HleLock(std::uint32_t max_retries = 5, TraceSink* trace_sink = nullptr)
-      : max_retries_(max_retries), trace_sink_(trace_sink) {}
+  explicit HleLock(std::uint32_t max_retries = 5) : max_retries_(max_retries) {}
 
   HleLock(const HleLock&) = delete;
   HleLock& operator=(const HleLock&) = delete;
@@ -94,7 +93,7 @@ class HleLock {
 
     // Serial fallback: acquire the lock for real. The acquisition dooms all
     // in-flight fast-path transactions (they subscribed to the lock).
-    EmitTraceEvent(trace_sink_, TraceEventType::kPathTransition,
+    EmitTraceEvent(TraceEventType::kPathTransition,
                    static_cast<std::uint8_t>(WritePath::kHtm),
                    static_cast<std::uint8_t>(WritePath::kNs));
     const std::uint64_t held = lock_.Acquire(LockState::kNsLocked);
@@ -113,7 +112,6 @@ class HleLock {
 
   LockWord lock_;
   std::uint32_t max_retries_;
-  TraceSink* trace_sink_;
   StatsRegistry stats_;
 };
 

@@ -11,19 +11,10 @@ namespace rwle {
 
 namespace {
 
-// Wraps a concrete lock in a named LockAdapter with the trace sink applied.
-// `name` is the full scheme string (suffix included) so it round-trips
-// through ElidableLock::name().
-template <typename Lock, typename... Args>
-std::unique_ptr<ElidableLock> Adapt(const std::string& name, const LockOptions& options,
-                                    Args&&... args) {
-  auto adapter = std::make_unique<LockAdapter<Lock>>(name, std::forward<Args>(args)...);
-  adapter->set_trace_sink(options.trace_sink);
-  return adapter;
-}
-
-// Every make function takes the fallback parsed from the name's suffix;
-// only the RW-LE bases (the ones registered with rwle_base) use it.
+// Every make function wraps its lock in a LockAdapter named with the full
+// scheme string (suffix included), so it round-trips through
+// ElidableLock::name(). Each takes the fallback parsed from the name's
+// suffix; only the RW-LE bases (the ones registered with rwle_base) use it.
 template <RwLeVariant V, bool UseRot = true, bool Split = false>
 std::unique_ptr<ElidableLock> MakeRwLe(const std::string& name, const LockOptions& options,
                                        FallbackScheme fallback) {
@@ -34,26 +25,18 @@ std::unique_ptr<ElidableLock> MakeRwLe(const std::string& name, const LockOption
   policy.use_rot = UseRot;
   policy.split_rot_ns_locks = Split;
   policy.fallback = fallback;
-  policy.trace_sink = options.trace_sink;
-  return Adapt<RwLeLock>(name, options, policy);
+  return std::make_unique<LockAdapter<RwLeLock>>(name, policy);
 }
 
 std::unique_ptr<ElidableLock> MakeHle(const std::string& name, const LockOptions& options,
                                       FallbackScheme) {
-  return Adapt<HleLock>(name, options, options.max_htm_retries, options.trace_sink);
-}
-
-std::unique_ptr<ElidableLock> MakeBravo(const std::string& name, const LockOptions& options,
-                                        FallbackScheme) {
-  BravoLock::Options bravo_options;
-  bravo_options.trace_sink = options.trace_sink;
-  return Adapt<BravoLock>(name, options, bravo_options);
+  return std::make_unique<LockAdapter<HleLock>>(name, options.max_htm_retries);
 }
 
 template <typename Lock>
-std::unique_ptr<ElidableLock> MakeSimple(const std::string& name, const LockOptions& options,
+std::unique_ptr<ElidableLock> MakeSimple(const std::string& name, const LockOptions&,
                                          FallbackScheme) {
-  return Adapt<Lock>(name, options);
+  return std::make_unique<LockAdapter<Lock>>(name);
 }
 
 // The one registration table: MakeLock dispatch, AllLockNames() and
@@ -87,7 +70,7 @@ constexpr SchemeDef kSchemes[] = {
     {"brlock", "big-reader lock (per-thread reader mutexes)", false, true,
      MakeSimple<BrLock>},
     {"bravo", "standalone BRAVO-biased rw-lock (distributed visible readers)",
-     false, false, MakeBravo},
+     false, false, MakeSimple<BravoLock>},
     {"rwl", "pthread-style centralized read-write lock", false, true,
      MakeSimple<RwLock>},
     {"sgl", "single global lock, no elision", false, true, MakeSimple<SglLock>},

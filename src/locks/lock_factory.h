@@ -12,8 +12,6 @@
 
 namespace rwle {
 
-class TraceSink;
-
 // Construction knobs shared by every scheme. Knobs a scheme has no use for
 // are ignored (e.g. ROT retries by HLE, both retry budgets by the
 // non-speculative locks), so one options value can configure a whole sweep.
@@ -22,10 +20,6 @@ class TraceSink;
 struct LockOptions {
   std::uint32_t max_htm_retries = 5;  // speculative attempts before demoting
   std::uint32_t max_rot_retries = 5;  // ROT attempts before the NS path
-  // Destination for the lock's trace events (path transitions, reader
-  // stalls, per-op latencies). Null = tracing off; not owned, must outlive
-  // the lock.
-  TraceSink* trace_sink = nullptr;
 };
 
 // Scheme-name grammar: "<base>[+<fallback>]".

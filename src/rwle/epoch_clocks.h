@@ -59,7 +59,7 @@ class EpochClocks {
   void Synchronize() const {
     RWLE_SCHED_POINT(kQuiescence, this);
     RWLE_TXSAN_HOOK(HtmRuntime::Global(), OnQuiescenceBegin(CurrentThreadSlot(), this));
-    EmitTraceEvent(HtmRuntime::Global().trace_sink(), TraceEventType::kQuiesceBegin);
+    EmitTraceEvent(TraceEventType::kQuiesceBegin);
     const std::uint32_t n = ThreadRegistry::Global().HighWatermark();
     CostMeter::Global().Charge(2 * CostModel::kClockScanPerThread * n);
     std::uint64_t snapshot[kMaxThreads];
@@ -76,7 +76,7 @@ class EpochClocks {
       }
     }
     RWLE_TXSAN_HOOK(HtmRuntime::Global(), OnQuiescenceEnd(CurrentThreadSlot(), this));
-    EmitTraceEvent(HtmRuntime::Global().trace_sink(), TraceEventType::kQuiesceEnd);
+    EmitTraceEvent(TraceEventType::kQuiesceEnd);
   }
 
   // Single-traversal variant (paper §3.3, first optimization): valid only
@@ -85,8 +85,7 @@ class EpochClocks {
   void SynchronizeBlockedReaders() const {
     RWLE_SCHED_POINT(kQuiescence, this);
     RWLE_TXSAN_HOOK(HtmRuntime::Global(), OnQuiescenceBegin(CurrentThreadSlot(), this));
-    EmitTraceEvent(HtmRuntime::Global().trace_sink(), TraceEventType::kQuiesceBegin,
-                   /*detail_a=*/1);  // single-scan variant
+    EmitTraceEvent(TraceEventType::kQuiesceBegin, /*detail_a=*/1);  // single-scan variant
     const std::uint32_t n = ThreadRegistry::Global().HighWatermark();
     CostMeter::Global().Charge(CostModel::kClockScanPerThread * n);
     for (std::uint32_t i = 0; i < n; ++i) {
@@ -100,8 +99,7 @@ class EpochClocks {
       }
     }
     RWLE_TXSAN_HOOK(HtmRuntime::Global(), OnQuiescenceEnd(CurrentThreadSlot(), this));
-    EmitTraceEvent(HtmRuntime::Global().trace_sink(), TraceEventType::kQuiesceEnd,
-                   /*detail_a=*/1);
+    EmitTraceEvent(TraceEventType::kQuiesceEnd, /*detail_a=*/1);
   }
 
  private:

@@ -13,8 +13,6 @@
 
 namespace rwle {
 
-class TraceSink;
-
 enum class RwLeVariant : std::uint8_t {
   kOpt = 0,   // optimistic: HTM first
   kPes = 1,   // pessimistic: ROT first, writers serialized
@@ -74,10 +72,6 @@ struct RwLePolicy {
   // FallbackScheme above). Selected per lock instance by the "+bravo"
   // scheme-name suffix.
   FallbackScheme fallback = FallbackScheme::kCentralized;
-  // Trace destination for this lock's own events (path transitions, reader
-  // stalls). Null = tracing off; not owned. Transaction-level events are
-  // emitted by the HTM runtime via its own sink pointer.
-  TraceSink* trace_sink = nullptr;
 };
 
 // Per-acquisition path state machine. Reads the lock's policy in place, so

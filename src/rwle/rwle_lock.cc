@@ -19,7 +19,7 @@ void RwLeLock::ReadEnter(std::uint32_t slot) {
     // A non-speculative writer is in (or slipped in): defer to it through
     // the configured fallback scheme.
     clocks_.Exit(slot);
-    EmitTraceEvent(policy_.trace_sink, TraceEventType::kReaderBlockBegin);
+    EmitTraceEvent(TraceEventType::kReaderBlockBegin);
     if (policy_.fallback == FallbackScheme::kBravo) {
       BravoReaderWait(slot);
     } else {
@@ -32,7 +32,7 @@ void RwLeLock::ReadEnter(std::uint32_t slot) {
       // parking entries exist to avoid.
       CostMeter::Global().ChargeContended(CostModel::kLockOp);
     }
-    EmitTraceEvent(policy_.trace_sink, TraceEventType::kReaderBlockEnd);
+    EmitTraceEvent(TraceEventType::kReaderBlockEnd);
   }
 }
 
@@ -131,7 +131,7 @@ void RwLeLock::BravoReaderExit(std::uint32_t slot) {
 }
 
 void RwLeLock::BravoDrainAdmitted(std::uint32_t slot) {
-  EmitTraceEvent(policy_.trace_sink, slot, TraceEventType::kBravoRevokeBegin);
+  EmitTraceEvent(slot, TraceEventType::kBravoRevokeBegin);
   RWLE_TXSAN_HOOK(HtmRuntime::Global(), OnQuiescenceBegin(slot, &fallback_table_));
   // Identity indexing: every parked/admitted reader sits at its registry
   // slot, so the sweep stops at the high watermark.
@@ -161,8 +161,7 @@ void RwLeLock::BravoDrainAdmitted(std::uint32_t slot) {
   RWLE_TXSAN_HOOK(HtmRuntime::Global(), OnQuiescenceEnd(slot, &fallback_table_));
   stats_.RecordBravo(BravoCounter::kRevocation);
   stats_.RecordBravo(BravoCounter::kRevokedReader, drained);
-  EmitTraceEvent(policy_.trace_sink, slot, TraceEventType::kBravoRevokeEnd, 0, 0,
-                 drained);
+  EmitTraceEvent(slot, TraceEventType::kBravoRevokeEnd, 0, 0, drained);
 }
 
 void RwLeLock::BravoGrantParked() {
@@ -198,11 +197,11 @@ void RwLeLock::ReadEnterFair(std::uint32_t slot) {
       return;
     }
     // Wait for this owner to release, then re-copy (the version moved).
-    EmitTraceEvent(policy_.trace_sink, TraceEventType::kReaderBlockBegin);
+    EmitTraceEvent(TraceEventType::kReaderBlockBegin);
     while (wlock_.Load() == word) {
       SpinBackoff(spins++);
     }
-    EmitTraceEvent(policy_.trace_sink, TraceEventType::kReaderBlockEnd);
+    EmitTraceEvent(TraceEventType::kReaderBlockEnd);
   }
 }
 

@@ -218,7 +218,7 @@ class RwLeLock {
 
   void EmitPathTransition(WritePath from, WritePath to) {
     if (from != to) {
-      EmitTraceEvent(policy_.trace_sink, TraceEventType::kPathTransition,
+      EmitTraceEvent(TraceEventType::kPathTransition,
                      static_cast<std::uint8_t>(from), static_cast<std::uint8_t>(to));
     }
   }

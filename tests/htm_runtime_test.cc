@@ -638,28 +638,5 @@ TEST_F(HtmRuntimeTest, LimitedTrackingDisablesCapacityAborts) {
   }
 }
 
-TEST_F(HtmRuntimeTest, CountersTrackCommitsAndAborts) {
-  ScopedThreadSlot slot;
-  TxContext& ctx = Rt().ContextAt(CurrentThreadSlot());
-  ctx.ResetCounters();
-
-  TxVar<std::uint64_t> cell(0);
-  Rt().TxBegin(TxKind::kHtm);
-  cell.Store(1);
-  Rt().TxCommit();
-  try {
-    Rt().TxBegin(TxKind::kRot);
-    Rt().TxAbort(AbortCause::kExplicit);
-  } catch (const TxAbortException&) {
-  }
-
-  const auto& counters = ctx.counters();
-  EXPECT_EQ(counters.commits[static_cast<int>(TxKind::kHtm)], 1u);
-  EXPECT_EQ(counters.begins[static_cast<int>(TxKind::kRot)], 1u);
-  EXPECT_EQ(
-      counters.aborts[static_cast<int>(TxKind::kRot)][static_cast<int>(AbortCause::kExplicit)],
-      1u);
-}
-
 }  // namespace
 }  // namespace rwle

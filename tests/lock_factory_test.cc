@@ -13,7 +13,6 @@
 #include "src/locks/bravo_lock.h"
 #include "src/locks/elidable_lock.h"
 #include "src/rwle/rwle_lock.h"
-#include "src/trace/trace_sink.h"
 
 namespace rwle {
 namespace {
@@ -93,14 +92,11 @@ TEST(LockFactoryTest, StandaloneBravoConstructs) {
 }
 
 // LockOptions must actually reach the constructed lock, not just compile:
-// the retry budgets and the trace sink land in the RwLePolicy of an RW-LE
-// scheme.
+// the retry budgets land in the RwLePolicy of an RW-LE scheme.
 TEST(LockFactoryTest, OptionsPropagateIntoRwLePolicy) {
-  MemoryTraceSink sink(16);
   LockOptions options;
   options.max_htm_retries = 7;
   options.max_rot_retries = 3;
-  options.trace_sink = &sink;
 
   auto lock = MakeLock("rwle-opt", options);
   ASSERT_NE(lock, nullptr);
@@ -110,7 +106,6 @@ TEST(LockFactoryTest, OptionsPropagateIntoRwLePolicy) {
   EXPECT_EQ(policy.variant, RwLeVariant::kOpt);
   EXPECT_EQ(policy.max_htm_retries, 7u);
   EXPECT_EQ(policy.max_rot_retries, 3u);
-  EXPECT_EQ(policy.trace_sink, &sink);
 }
 
 TEST(LockFactoryTest, VariantSchemesConfigureTheirPolicies) {
@@ -177,7 +172,6 @@ TEST(LockFactoryTest, DefaultOptionsMatchDocumentedDefaults) {
   EXPECT_EQ(policy.max_htm_retries, 5u);
   EXPECT_EQ(policy.max_rot_retries, 5u);
   EXPECT_TRUE(policy.single_scan_ns_sync);
-  EXPECT_EQ(policy.trace_sink, nullptr);
 }
 
 // Every factory lock owns a latency registry and records into it through

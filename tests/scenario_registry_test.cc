@@ -16,6 +16,7 @@
 #include "src/htm/htm_runtime.h"
 #include "src/htm/hw_profile.h"
 #include "src/locks/lock_factory.h"
+#include "src/trace/trace_sink.h"
 
 namespace rwle {
 namespace {
@@ -94,11 +95,13 @@ TEST(ScenarioRegistryTest, DefaultSchemesAreConstructible) {
   }
 }
 
-// Runs rwle_bench in-process on one scenario and scheme list at a tiny
-// sweep size; returns its exit code.
-int RunBenchMain(const std::string& scenario, const std::string& schemes) {
+// Runs rwle_bench in-process on one scenario, scheme list and thread list
+// at a tiny sweep size; returns its exit code.
+int RunBenchMain(const std::string& scenario, const std::string& schemes,
+                 const std::string& threads = "1") {
   std::vector<std::string> args = {"rwle_bench", "--scenario=" + scenario,
-                                   "--schemes=" + schemes, "--threads=1", "--ops=100"};
+                                   "--schemes=" + schemes, "--threads=" + threads,
+                                   "--ops=100"};
   std::vector<char*> argv;
   for (std::string& arg : args) {
     argv.push_back(arg.data());
@@ -115,6 +118,10 @@ TEST(ScenarioRegistryTest, BenchMainRejectsSchemesTheScenarioCannotRun) {
   // Ablation case labels are not lock-factory schemes, and vice versa.
   EXPECT_EQ(RunBenchMain("ablation", "rwle-opt"), 1);
   EXPECT_EQ(RunBenchMain("fig3", "no-rot"), 1);
+  // So does a thread count outside [1, kMaxThreads], instead of aborting
+  // in the harness.
+  EXPECT_EQ(RunBenchMain("fig3", "rwle-opt", "0"), 1);
+  EXPECT_EQ(RunBenchMain("fig3", "rwle-opt", "2000"), 1);
 }
 
 TEST(ScenarioRegistryTest, BenchMainRunsValidSchemeNames) {
@@ -202,6 +209,49 @@ TEST(ScenarioRegistryTest, RepeatedCellsStartFromFreshLocks) {
           << BravoCounterKey(static_cast<BravoCounter>(counter));
     }
   }
+}
+
+// A traced service sweep files every run under its own trace run,
+// calibration included: the cost clocks restart at every run, so a
+// calibration filed under a load panel's run would put two timelines on one
+// lane, and the exported spans would end before their lane predecessors.
+TEST(ScenarioRegistryTest, TracedServiceSweepKeepsLanesOrderedWithinRuns) {
+  RegisterAllScenarios();
+  const ScenarioSpec* spec = ScenarioRegistry::Global().Find("service");
+  ASSERT_NE(spec, nullptr);
+
+  BenchOptions options;
+  options.thread_counts = {2};
+  options.total_ops = 600;
+  options.seed = 42;
+  MemoryTraceSink sink;
+  const ScopedTraceSink tracing(sink);
+  sink.set_scenario(spec->name);
+  ScenarioRecord record;
+  spec->run(*spec, options, {"rwle-opt", "sgl"}, record);
+
+  // Per scheme: one calibration run, then one run per load panel.
+  EXPECT_EQ(sink.runs().size(), 2 * (1 + spec->panel_values.size()));
+  std::uint32_t lanes = 0;
+  for (std::uint32_t slot = 0; slot < kMaxThreads; ++slot) {
+    if (!sink.HasLane(slot)) {
+      continue;
+    }
+    ++lanes;
+    std::uint32_t run = 0;
+    std::uint64_t last = 0;
+    std::uint64_t backwards = 0;
+    sink.ForEachLaneEvent(slot, [&](const TraceEvent& event) {
+      if (event.run_id != run) {
+        run = event.run_id;
+        last = 0;
+      }
+      backwards += event.timestamp < last ? 1 : 0;
+      last = event.timestamp;
+    });
+    EXPECT_EQ(backwards, 0u) << "slot " << slot;
+  }
+  EXPECT_GT(lanes, 0u);
 }
 
 // The portability sweep's panel axis must mirror the --hw profile table

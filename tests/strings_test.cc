@@ -45,6 +45,9 @@ TEST(ParseUintListTest, RejectsMalformed) {
   ok = true;
   EXPECT_TRUE(ParseUintList("12a", &ok).empty());
   EXPECT_FALSE(ok);
+  ok = true;
+  EXPECT_TRUE(ParseUintList("4294967297", &ok).empty());  // would wrap to 1
+  EXPECT_FALSE(ok);
 }
 
 TEST(ParseUintListTest, EmptyInputIsOkAndEmpty) {

@@ -1,24 +1,31 @@
 // Tests for the trace subsystem: the per-thread event ring, the
 // MemoryTraceSink lane/run bookkeeping, the HDR latency histogram against a
 // brute-force sorted reference, the Chrome trace_event exporter against a
-// checked-in golden file, and the LockOptions plumbing that turns tracing
-// on for a factory-built lock.
+// checked-in golden file, and the process sink that every lock-level emit
+// site reaches. Every test that installs a sink does so through a
+// ScopedTraceSink, so no later test emits into a destroyed one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/thread_registry.h"
 #include "src/harness/bench_harness.h"
 #include "src/htm/abort.h"
+#include "src/htm/htm_runtime.h"
+#include "src/locks/bravo_lock.h"
 #include "src/locks/lock_factory.h"
 #include "src/memory/tx_var.h"
 #include "src/rwle/path_policy.h"
+#include "src/stats/cost_meter.h"
 #include "src/stats/stats.h"
 #include "src/trace/latency_histogram.h"
 #include "src/trace/trace_event.h"
@@ -119,10 +126,9 @@ TEST(MemoryTraceSinkTest, StampsSequenceAndRunPerLane) {
 // sequence numbers dense and timestamps non-decreasing within every lane.
 TEST(MemoryTraceSinkTest, ConcurrentEmitsKeepLanesOrdered) {
   MemoryTraceSink sink;
+  const ScopedTraceSink tracing(sink);
   sink.BeginRun("rwle-opt", 10.0, 4);
-  LockOptions options;
-  options.trace_sink = &sink;
-  auto lock = MakeLock("rwle-opt", options);
+  auto lock = MakeLock("rwle-opt");
   ASSERT_NE(lock, nullptr);
 
   RunOptions run;
@@ -332,42 +338,158 @@ TEST(ChromeTraceExportTest, ReportsUnpairedEndsAndWritesFile) {
 }
 
 // ---------------------------------------------------------------------------
-// LockOptions -> tracing plumbing.
+// The process sink.
 // ---------------------------------------------------------------------------
 
-TEST(TracePlumbingTest, FactoryLockEmitsOpEndToConfiguredSink) {
-  MemoryTraceSink sink(64);
-  LockOptions options;
-  options.trace_sink = &sink;
-  auto lock = MakeLock("sgl", options);
-  ASSERT_NE(lock, nullptr);
+int Count(const std::vector<TraceEventType>& types, TraceEventType type) {
+  return static_cast<int>(std::count(types.begin(), types.end(), type));
+}
 
-  ScopedThreadSlot slot;
-  const std::uint32_t self = CurrentThreadSlot();
-  ASSERT_NE(self, kInvalidThreadSlot);
-  lock->Write([] {});
-  lock->Read([] {});
-
-  ASSERT_TRUE(sink.HasLane(self));
+// The event types of `slot`'s lane, oldest first.
+std::vector<TraceEventType> LaneTypes(const MemoryTraceSink& sink, std::uint32_t slot) {
   std::vector<TraceEventType> types;
-  std::vector<OpKind> ops;
-  sink.ForEachLaneEvent(self, [&](const TraceEvent& event) {
-    types.push_back(event.type);
-    if (event.type == TraceEventType::kOpEnd) {
-      ops.push_back(static_cast<OpKind>(event.detail_a));
+  sink.ForEachLaneEvent(slot, [&](const TraceEvent& event) { types.push_back(event.type); });
+  return types;
+}
+
+// Both retry budgets at 0: every write takes the non-speculative path.
+LockOptions NoSpeculation() {
+  LockOptions options;
+  options.max_htm_retries = 0;
+  options.max_rot_retries = 0;
+  return options;
+}
+
+// Runs `ops` on the calling (registered) thread with a fresh sink installed;
+// returns the event types of that thread's lane.
+std::vector<TraceEventType> TraceOwnLane(const std::function<void()>& ops) {
+  MemoryTraceSink sink(1024);
+  const ScopedTraceSink tracing(sink);
+  ops();
+  return LaneTypes(sink, CurrentThreadSlot());
+}
+
+// A reader arrives while the calling (registered) thread holds `scheme`'s
+// lock on the NS path; returns the event types of the reader's lane. The
+// writer holds the lock until the reader's first event -- its stall --
+// reached the sink.
+std::vector<TraceEventType> TraceBlockedReader(const std::string& scheme) {
+  auto lock = MakeLock(scheme, NoSpeculation());
+  MemoryTraceSink sink(1024);
+  const ScopedTraceSink tracing(sink);
+  std::atomic<bool> writer_inside{false};
+  std::atomic<std::uint32_t> reader_slot{kInvalidThreadSlot};
+  std::thread reader([&] {
+    ScopedThreadSlot slot;
+    while (!writer_inside.load()) {
+      std::this_thread::yield();
+    }
+    reader_slot.store(slot.slot());
+    lock->Read([] {});
+  });
+  lock->Write([&] {
+    writer_inside.store(true);
+    while (reader_slot.load() == kInvalidThreadSlot || !sink.HasLane(reader_slot.load())) {
+      std::this_thread::yield();
     }
   });
-  EXPECT_EQ(types, (std::vector<TraceEventType>{TraceEventType::kOpEnd,
-                                                TraceEventType::kOpEnd}));
-  EXPECT_EQ(ops, (std::vector<OpKind>{OpKind::kWrite, OpKind::kRead}));
+  reader.join();
+  return LaneTypes(sink, reader_slot.load());
+}
+
+// Every emit site that lives in a lock rather than in the HTM runtime reaches
+// the one process sink: kOpEnd from LockAdapter, path demotions from RW-LE
+// and HLE, BRAVO bias arms and revocations from the standalone lock and the
+// rwle+bravo drain, and reader stalls behind an NS writer through each
+// reader entry protocol.
+TEST(TracePlumbingTest, EveryLockEmitSiteReachesTheProcessSink) {
+  ScopedThreadSlot slot;
+
+  auto sgl = MakeLock("sgl");
+  const auto op_ends = TraceOwnLane([&] {
+    sgl->Write([] {});
+    sgl->Read([] {});
+  });
+  EXPECT_EQ(Count(op_ends, TraceEventType::kOpEnd), 2);
+
+  // HLE without retries goes straight to its serial path.
+  auto hle = MakeLock("hle", NoSpeculation());
+  const auto hle_types = TraceOwnLane([&] { hle->Write([] {}); });
+  EXPECT_EQ(Count(hle_types, TraceEventType::kPathTransition), 1);
+
+  // RW-LE without retries starts on the NS path, which is no transition; a
+  // write past the HTM and ROT capacity demotes HTM -> ROT -> NS instead.
+  struct alignas(kCacheLineBytes) PaddedCell {
+    TxVar<std::uint64_t> v;
+  };
+  std::vector<PaddedCell> cells(2 * HtmRuntime::Global().config().max_write_lines);
+  auto rwle = MakeLock("rwle-opt");
+  const auto rwle_types = TraceOwnLane([&] {
+    rwle->Write([&] {
+      for (PaddedCell& cell : cells) {
+        cell.v.Store(1);
+      }
+    });
+  });
+  EXPECT_EQ(Count(rwle_types, TraceEventType::kPathTransition), 2);
+
+  // Standalone BRAVO: the first write revokes the initial reader bias, and
+  // slow reads re-arm it once the inhibit window has passed.
+  auto bravo = MakeLock("bravo");
+  const BravoLock& bravo_lock = dynamic_cast<LockAdapter<BravoLock>&>(*bravo).lock();
+  const auto bravo_types = TraceOwnLane([&] {
+    bravo->Write([] {});
+    for (int i = 0; i < 100000 && !bravo_lock.bias_armed(); ++i) {
+      bravo->Read([] {});
+    }
+  });
+  EXPECT_EQ(Count(bravo_types, TraceEventType::kBravoRevokeBegin), 1);
+  EXPECT_EQ(Count(bravo_types, TraceEventType::kBravoRevokeEnd), 1);
+  EXPECT_EQ(Count(bravo_types, TraceEventType::kBravoBiasArm), 1);
+
+  // rwle+bravo: every NS write drains the distributed reader table.
+  auto rwle_bravo = MakeLock("rwle+bravo", NoSpeculation());
+  const auto drain_types = TraceOwnLane([&] { rwle_bravo->Write([] {}); });
+  EXPECT_EQ(Count(drain_types, TraceEventType::kBravoRevokeBegin), 1);
+  EXPECT_EQ(Count(drain_types, TraceEventType::kBravoRevokeEnd), 1);
+
+  for (const char* scheme : {"rwle-opt", "rwle-fair", "rwle+bravo"}) {
+    const auto reader_types = TraceBlockedReader(scheme);
+    EXPECT_EQ(Count(reader_types, TraceEventType::kReaderBlockBegin), 1) << scheme;
+    EXPECT_EQ(Count(reader_types, TraceEventType::kReaderBlockEnd), 1) << scheme;
+    EXPECT_EQ(Count(reader_types, TraceEventType::kOpEnd), 1) << scheme;
+  }
+}
+
+// Tracing only reads the cost clocks: the same single-threaded operations
+// charge the same modeled cycles with the process sink installed or not.
+TEST(TracePlumbingTest, TracingChargesNoModeledCycles) {
+  ScopedThreadSlot slot;
+  TxVar<std::uint64_t> cell(0);
+  for (const char* scheme : {"rwle-opt", "hle", "sgl"}) {
+    auto lock = MakeLock(scheme);
+    const auto charged = [&] {
+      const std::uint64_t start = CostMeter::Global().SlotCycles(slot.slot());
+      for (int i = 0; i < 100; ++i) {
+        lock->Write([&] { cell.Store(cell.Load() + 1); });
+        lock->Read([&] { (void)cell.Load(); });
+      }
+      return CostMeter::Global().SlotCycles(slot.slot()) - start;
+    };
+    (void)charged();  // warm-up: first-touch state is not what this compares
+    const std::uint64_t untraced = charged();
+    MemoryTraceSink sink;
+    const ScopedTraceSink tracing(sink);
+    EXPECT_EQ(charged(), untraced) << scheme;
+    EXPECT_GE(sink.TotalEvents(), 200u) << scheme;
+  }
 }
 
 TEST(TracePlumbingTest, NullSinkIsANoOp) {
-  // The tracing-off configuration: EmitTraceEvent with a null sink must be
-  // callable from any thread, registered or not.
-  EmitTraceEvent(nullptr, TraceEventType::kTxBegin);
-  LockOptions options;  // trace_sink defaults to null
-  auto lock = MakeLock("rwle-opt", options);
+  // The tracing-off configuration: with no sink installed, EmitTraceEvent
+  // must be callable from any thread, registered or not.
+  EmitTraceEvent(TraceEventType::kTxBegin);
+  auto lock = MakeLock("rwle-opt");
   ASSERT_NE(lock, nullptr);
   ScopedThreadSlot slot;
   lock->Write([] {});  // must not crash or emit anywhere
